@@ -8,7 +8,7 @@
 //   plurality_run --list-metrics
 //   plurality_run --scenario NAME [--n N] [--k K] [--workload W] [--bias B]
 //                 [--dust D] [--fraction PCT] [--zipf-s S] [--sources C]
-//                 [--time-budget T] [--backend agent|census|batch|leap]
+//                 [--time-budget T] [--backend agent|census|leap]
 //                 [--trials T] [--seed S] [--threads J]
 //                 [--out FILE.json] [--trace FILE.csv] [--trace-cadence C]
 //                 [--metrics FILE.json] [--metrics-prom FILE.prom] [--progress]
@@ -22,12 +22,14 @@
 // Backends: --backend agent (default) simulates every agent individually,
 // O(n) memory; --backend census simulates the state census (one counter per
 // occupied state), O(S) memory — the backend for population sizes far
-// beyond what per-agent storage can hold; --backend batch is the census
-// backend with collision-free run batching — the same Markov chain at a
-// multiple of the throughput for small-S protocols; --backend leap samples
-// each run's pair-type contingency table directly — the fastest backend for
-// small-occupancy protocols, independent of the run length (see
-// docs/ARCHITECTURE.md).
+// beyond what per-agent storage can hold; --backend leap is the census
+// backend with collision-free run batching — each run's pair-type
+// contingency table is sampled directly, so the same Markov chain steps at
+// a cost independent of the run length (see docs/ARCHITECTURE.md).
+//
+// Bad flag values (an unknown backend, an integer that is malformed or out
+// of range, a non-positive trace cadence) fail with one line on stderr and
+// exit 2, with no usage dump.
 //
 // Examples:
 //   plurality_run --list
@@ -37,6 +39,7 @@
 //   plurality_run --scenario epidemic/broadcast --n 100000 --trace spread.csv
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +47,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "obs/catalogue.h"
@@ -84,7 +88,7 @@ constexpr double progress_interval_seconds = 2.0;
                  "       %s --scenario NAME [--n N] [--k K] [--workload "
                  "bias1|uniform|zipf|dominant|two-heavy]\n"
                  "          [--bias B] [--dust D] [--fraction PCT] [--zipf-s S] [--sources C]\n"
-                 "          [--time-budget T] [--backend agent|census|batch|leap]\n"
+                 "          [--time-budget T] [--backend agent|census|leap]\n"
                  "          [--trials T] [--seed S] [--threads J]\n"
                  "          [--out FILE.json] [--trace FILE.csv] [--trace-cadence C]\n"
                  "          [--metrics FILE.json] [--metrics-prom FILE.prom] [--progress]\n",
@@ -123,11 +127,11 @@ options parse(int argc, char** argv) {
             }
             opt.backend = *backend;
         } else if (arg == "--trials") {
-            opt.trials = std::strtoul(value(), nullptr, 10);
+            opt.trials = scenario::parse_unsigned_flag(arg, value(), SIZE_MAX);
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(value(), nullptr, 10);
+            opt.seed = scenario::parse_unsigned_flag(arg, value(), UINT64_MAX);
         } else if (arg == "--threads") {
-            opt.threads = std::strtoul(value(), nullptr, 10);
+            opt.threads = scenario::parse_unsigned_flag(arg, value(), SIZE_MAX);
         } else if (arg == "--out") {
             opt.out_path = value();
         } else if (arg == "--trace") {
@@ -196,7 +200,14 @@ bool write_file(const std::string& path, const std::string& content, const char*
 }  // namespace
 
 int main(int argc, char** argv) {
-    const options opt = parse(argc, argv);
+    options opt;
+    try {
+        opt = parse(argc, argv);
+    } catch (const std::invalid_argument& error) {
+        // A malformed integer flag: one line, no usage dump.
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+    }
     if (opt.list) return list_scenarios();
     if (opt.list_metrics) return list_metrics();
     if (opt.scenario.empty()) usage(argv[0], 2);

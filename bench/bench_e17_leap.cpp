@@ -1,28 +1,27 @@
-// E17 — pair-type leaping backend: O(occupied²) runs that skip participant
-// sampling entirely.
+// E17 — run-batching census backend: O(occupied) + O(participating²) runs
+// versus the per-step census backend.
 //
-// The batch backend (E16) still pays two Θ(√n) costs per collision-free
-// run: the survival-product walk that samples the run length, and the 2L
-// participant draws it compresses afterwards.  The leap backend
-// (sim/leap_census_simulator.h) removes both — the run length comes from a
-// single uniform inverted through the closed-form log-survival curve, and
-// the ordered (initiator-state × responder-state) contingency table is
-// sampled directly by sequential multivariate-hypergeometric conditioning —
-// so per-run cost is O(occupied²), independent of n.  Both backends
-// simulate the same Markov chain (tests/test_leap_backend.cpp pins the
-// agreement); these rows are a pure throughput comparison.
+// The per-step census backend (E15) pays two Fenwick descents, a δ call and
+// up to four tree updates per interaction.  The leap backend
+// (sim/leap_census_simulator.h) steps whole collision-free runs — Θ(√n)
+// interactions each — with the run length drawn from one uniform inverted
+// through the closed-form log-survival curve, the 2L participants drawn in
+// census space and paired by a sequentially-conditioned contingency table,
+// and δ applied once per ordered state-pair group.  Both backends simulate
+// the same Markov chain (tests/test_leap_backend.cpp pins the agreement);
+// these rows are a pure throughput comparison.
 //
 // Row families:
 //
-//  * LeapThroughput / BatchStepThroughput — the same fixed interaction
-//    budget on each backend, for the two canonical small-S protocols
-//    (epidemic broadcast, three-state majority) at n ∈ {10⁸, 10⁹}.
+//  * LeapThroughput — a fixed interaction budget on the leap backend, for
+//    the two canonical small-S protocols (epidemic broadcast, three-state
+//    majority) at n ∈ {10⁸, 10⁹}.
 //
-//  * LeapSpeedup — both backends inside one row (same protocol, same n,
-//    same budget), reporting the ratio directly as a `speedup` counter so
-//    the recorded BENCH_E17.json carries the comparison without offline
-//    arithmetic.  The acceptance bar for this experiment is leap ≥ 5× batch
-//    on both protocols at n = 10⁹.
+//  * LeapSpeedup — leap and per-step census inside one row (same protocol,
+//    same n, same budget), reporting the ratio directly as a `speedup`
+//    counter so the recorded BENCH_E17.json carries the comparison without
+//    offline arithmetic.  The acceptance bar for this experiment is
+//    leap ≥ 25× census on both protocols at n = 10⁹.
 //
 //  * LeapConvergence — full scenario-layer runs to convergence on the leap
 //    backend at n = 10⁹ (epidemic broadcast and three-state majority): the
@@ -40,7 +39,7 @@
 #include "majority/three_state.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
-#include "sim/batch_census_simulator.h"
+#include "sim/census_simulator.h"
 #include "sim/leap_census_simulator.h"
 
 namespace {
@@ -61,9 +60,10 @@ three_entries three_state_census(std::uint64_t n) {
     return {{{alpha}, n - minus}, {{beta}, minus}};
 }
 
-// Large enough that the faster backend's wall time is still comfortably
-// measurable (the leap backend clears 40M interactions at n = 10⁹ in about
-// a millisecond), small enough that the batch side stays a sub-second row.
+// Large enough that the leap backend's wall time is still comfortably
+// measurable (it clears 40M interactions at n = 10⁹ in about a
+// millisecond), small enough that the per-step census side of a speedup
+// row stays a few seconds.
 constexpr std::uint64_t throughput_budget = 40'000'000;
 
 /// Runs `Sim` for the fixed budget and reports interactions/sec plus the
@@ -106,23 +106,6 @@ void BM_LeapThroughput(benchmark::State& state) {
     }
 }
 
-template <bool three_state_rows>
-void BM_BatchStepThroughput(benchmark::State& state) {
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    state.counters["population"] = static_cast<double>(n);
-    if constexpr (three_state_rows) {
-        using sim_t = sim::batch_census_simulator<majority::three_state_protocol,
-                                                  majority::three_state_census_codec>;
-        run_throughput<sim_t>(state, three_state_census(n), 0xe17000 + n);
-        state.SetLabel("three-state/batch");
-    } else {
-        using sim_t = sim::batch_census_simulator<epidemic::epidemic_protocol,
-                                                  epidemic::epidemic_census_codec>;
-        run_throughput<sim_t>(state, epidemic_census(n), 0xe17000 + n);
-        state.SetLabel("epidemic/batch");
-    }
-}
-
 BENCHMARK(BM_LeapThroughput<false>)
     ->Name("BM_LeapThroughput/epidemic")
     ->ArgNames({"n"})
@@ -137,28 +120,13 @@ BENCHMARK(BM_LeapThroughput<true>)
     ->Args({1'000'000'000})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BatchStepThroughput<false>)
-    ->Name("BM_BatchStepThroughput/epidemic")
-    ->ArgNames({"n"})
-    ->Args({100'000'000})
-    ->Args({1'000'000'000})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BatchStepThroughput<true>)
-    ->Name("BM_BatchStepThroughput/three_state")
-    ->ArgNames({"n"})
-    ->Args({100'000'000})
-    ->Args({1'000'000'000})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// Both backends inside one row; `speedup` = batch wall / leap wall for the
-/// identical interaction budget.  This is the acceptance counter: it must
-/// stay >= 5 on both protocols at n = 10⁹.
+/// Both backends inside one row; `speedup` = per-step census wall / leap
+/// wall for the identical interaction budget.  This is the acceptance
+/// counter: it must stay >= 25 on both protocols at n = 10⁹.
 template <bool three_state_rows>
 void BM_LeapSpeedup(benchmark::State& state) {
     const auto n = static_cast<std::uint64_t>(state.range(0));
-    double batch_seconds = 0.0;
+    double census_seconds = 0.0;
     double leap_seconds = 0.0;
     std::uint64_t iteration = 0;
     for (auto _ : state) {
@@ -171,37 +139,28 @@ void BM_LeapSpeedup(benchmark::State& state) {
             return elapsed.count();
         };
         if constexpr (three_state_rows) {
+            using protocol_t = majority::three_state_protocol;
+            using codec_t = majority::three_state_census_codec;
             const auto entries = three_state_census(n);
-            batch_seconds += timed(
-                sim::batch_census_simulator<majority::three_state_protocol,
-                                            majority::three_state_census_codec>{{}, entries,
-                                                                                seed});
-            leap_seconds += timed(
-                sim::leap_census_simulator<majority::three_state_protocol,
-                                           majority::three_state_census_codec>{{}, entries,
-                                                                               seed});
+            census_seconds += timed(sim::census_simulator<protocol_t, codec_t>{{}, entries, seed});
+            leap_seconds += timed(sim::leap_census_simulator<protocol_t, codec_t>{{}, entries, seed});
         } else {
+            using protocol_t = epidemic::epidemic_protocol;
+            using codec_t = epidemic::epidemic_census_codec;
             const auto entries = epidemic_census(n);
-            batch_seconds += timed(
-                sim::batch_census_simulator<epidemic::epidemic_protocol,
-                                            epidemic::epidemic_census_codec>{{}, entries, seed});
-            leap_seconds += timed(
-                sim::leap_census_simulator<epidemic::epidemic_protocol,
-                                           epidemic::epidemic_census_codec>{{}, entries, seed});
+            census_seconds += timed(sim::census_simulator<protocol_t, codec_t>{{}, entries, seed});
+            leap_seconds += timed(sim::leap_census_simulator<protocol_t, codec_t>{{}, entries, seed});
         }
     }
+    const auto rate = [&](double seconds) {
+        return seconds > 0.0 ? static_cast<double>(throughput_budget) *
+                                   static_cast<double>(iteration) / seconds
+                             : 0.0;
+    };
     state.counters["population"] = static_cast<double>(n);
-    state.counters["speedup"] = leap_seconds > 0.0 ? batch_seconds / leap_seconds : 0.0;
-    state.counters["batch_interactions_per_sec"] =
-        batch_seconds > 0.0
-            ? static_cast<double>(throughput_budget) * static_cast<double>(iteration) /
-                  batch_seconds
-            : 0.0;
-    state.counters["leap_interactions_per_sec"] =
-        leap_seconds > 0.0
-            ? static_cast<double>(throughput_budget) * static_cast<double>(iteration) /
-                  leap_seconds
-            : 0.0;
+    state.counters["speedup"] = leap_seconds > 0.0 ? census_seconds / leap_seconds : 0.0;
+    state.counters["census_interactions_per_sec"] = rate(census_seconds);
+    state.counters["leap_interactions_per_sec"] = rate(leap_seconds);
     state.SetLabel(three_state_rows ? "three-state" : "epidemic");
 }
 

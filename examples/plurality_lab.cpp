@@ -18,9 +18,11 @@
 //   plurality_lab --mode improved --n 4096 --workload dominant --dust 16
 //   plurality_lab --mode ordered --n 1024 --k 8 --trials 20
 //   plurality_lab --mode unordered --n 2048 --k 4 --trace run.csv
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/registry.h"
@@ -69,9 +71,9 @@ options parse(int argc, char** argv) {
             if (opt.mode != "ordered" && opt.mode != "unordered" && opt.mode != "improved")
                 usage(argv[0]);
         } else if (arg == "--trials") {
-            opt.trials = std::strtoul(value(), nullptr, 10);
+            opt.trials = scenario::parse_unsigned_flag(arg, value(), SIZE_MAX);
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(value(), nullptr, 10);
+            opt.seed = scenario::parse_unsigned_flag(arg, value(), UINT64_MAX);
         } else if (arg == "--trace") {
             opt.trace_path = value();
         } else {
@@ -84,7 +86,13 @@ options parse(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const options opt = parse(argc, argv);
+    options opt;
+    try {
+        opt = parse(argc, argv);
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+    }
 
     const auto* s = scenario::scenario_registry::instance().find("plurality/" + opt.mode);
     if (s == nullptr) {

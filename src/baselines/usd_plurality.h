@@ -37,7 +37,7 @@ struct usd_plurality_protocol {
         }
     }
 
-    /// Batch-backend hook (sim/batch_census_simulator.h): δ never consults
+    /// Leap-backend hook (sim/leap_census_simulator.h): δ never consults
     /// the RNG, so every ordered state pair is deterministic.
     [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
         return true;

@@ -33,7 +33,7 @@ struct epidemic_protocol {
         }
     }
 
-    /// Batch-backend hook (sim/batch_census_simulator.h): δ never consults
+    /// Leap-backend hook (sim/leap_census_simulator.h): δ never consults
     /// the RNG, so every ordered state pair is deterministic and grouped
     /// interactions share one evaluation.
     [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {

@@ -79,7 +79,7 @@ public:
         }
     }
 
-    /// Batch-backend hook (sim/batch_census_simulator.h): every rule is a
+    /// Leap-backend hook (sim/leap_census_simulator.h): every rule is a
     /// pure function of the two states (the RNG is never consulted), so
     /// every ordered state pair is deterministic.
     [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {

@@ -35,7 +35,7 @@ struct stable_four_state_protocol {
 
     void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept;
 
-    /// Batch-backend hook (sim/batch_census_simulator.h): δ never consults
+    /// Leap-backend hook (sim/leap_census_simulator.h): δ never consults
     /// the RNG, so every ordered state pair is deterministic.
     [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
         return true;

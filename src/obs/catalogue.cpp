@@ -8,42 +8,42 @@ namespace {
 
 constexpr std::array catalogue{
     // -- deterministic counts (all byte-identical across --threads) ---------
-    metric_descriptor{m_interactions, "counter", "agent|census|batch|leap",
+    metric_descriptor{m_interactions, "counter", "agent|census|leap",
                       "interactions executed (collision-free runs included)"},
-    metric_descriptor{m_rng_words, "counter", "agent|census|batch|leap",
+    metric_descriptor{m_rng_words, "counter", "agent|census|leap",
                       "raw 64-bit words drawn from the xoshiro256** stream"},
-    metric_descriptor{m_occupied_hwm, "gauge", "census|batch|leap",
+    metric_descriptor{m_occupied_hwm, "gauge", "census|leap",
                       "high-water mark of simultaneously occupied states"},
-    metric_descriptor{m_reachable_states, "gauge", "census|batch|leap",
+    metric_descriptor{m_reachable_states, "gauge", "census|leap",
                       "states seen at any point of the run (dormant slots included)"},
     metric_descriptor{m_fenwick_descents, "counter", "census",
                       "Fenwick-tree rank descents (two per interaction)"},
-    metric_descriptor{m_runs, "counter", "batch|leap",
+    metric_descriptor{m_runs, "counter", "leap",
                       "collision-free runs sampled (truncated runs included)"},
-    metric_descriptor{m_collisions, "counter", "batch|leap",
+    metric_descriptor{m_collisions, "counter", "leap",
                       "runs that ended in a colliding interaction (not the budget)"},
     metric_descriptor{m_absorbed_fastpath, "counter", "leap",
                       "interactions skipped through the absorbed-census O(1) fast path"},
-    metric_descriptor{m_run_length, "histogram", "batch|leap",
+    metric_descriptor{m_run_length, "histogram", "leap",
                       "collision-free run length in pairs, log2-bucketed; mean = sum/count"},
-    metric_descriptor{m_delta_deterministic, "counter", "batch|leap",
+    metric_descriptor{m_delta_deterministic, "counter", "leap",
                       "interactions advanced by one deterministic-delta evaluation per group"},
-    metric_descriptor{m_delta_grouped, "counter", "batch|leap",
+    metric_descriptor{m_delta_grouped, "counter", "leap",
                       "interactions advanced by the randomized-delta multinomial group path"},
-    metric_descriptor{m_delta_fallback, "counter", "batch|leap",
+    metric_descriptor{m_delta_fallback, "counter", "leap",
                       "interactions advanced by the per-pair delta fallback"},
-    metric_descriptor{m_table_hits, "counter", "batch|leap",
+    metric_descriptor{m_table_hits, "counter", "leap",
                       "outcome-table cache hits (one lookup per group application)"},
-    metric_descriptor{m_table_misses, "counter", "batch|leap",
+    metric_descriptor{m_table_misses, "counter", "leap",
                       "outcome-table cache misses (pair enumerated and inserted)"},
     // -- timing (sidecar-only; wall-clock, not deterministic) ---------------
-    metric_descriptor{m_phase_run_length, "timer", "batch|leap",
-                      "time in the run-length draw (survival walk / closed-form inversion)"},
-    metric_descriptor{m_phase_margins, "timer", "batch|leap",
-                      "time in participant/margin sampling (MVH draws + compaction)"},
-    metric_descriptor{m_phase_table, "timer", "batch|leap",
+    metric_descriptor{m_phase_run_length, "timer", "leap",
+                      "time in the run-length draw (closed-form survival inversion)"},
+    metric_descriptor{m_phase_margins, "timer", "leap",
+                      "time in the 2L-participant draw, compaction and initiator split"},
+    metric_descriptor{m_phase_table, "timer", "leap",
                       "time in contingency-table rows + grouped delta application"},
-    metric_descriptor{m_phase_collision, "timer", "batch|leap",
+    metric_descriptor{m_phase_collision, "timer", "leap",
                       "time in colliding-interaction execution + participant re-deposit"},
     metric_descriptor{m_trial_wall, "timing", "runner",
                       "summed wall-clock seconds across all trials"},

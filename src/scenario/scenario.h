@@ -21,13 +21,10 @@
 //     memory; the default.
 //   * backend_kind::census — sim::census_simulator, one counter per occupied
 //     state, O(S) memory; the large-n backend (n up to 10⁹).
-//   * backend_kind::batch  — sim::batch_census_simulator, census-space with
-//     collision-free run batching; the large-n *throughput* backend for
-//     small-S protocols.
-//   * backend_kind::leap   — sim::leap_census_simulator, pair-type leaping:
-//     collision-free runs sampled as their ordered state-pair contingency
-//     table, O(occupied²) per run independent of the run length; the fastest
-//     backend for small-occupancy protocols.
+//   * backend_kind::leap   — sim::leap_census_simulator, census-space with
+//     collision-free run batching: each run is sampled as its ordered
+//     state-pair contingency table, independent of the run length; the
+//     large-n *throughput* backend.
 //
 // To serve both, the predicates and metric extractors are *templates* over
 // the simulation type, written against the shared weighted-state read API
@@ -54,7 +51,6 @@
 
 #include "obs/heartbeat.h"
 #include "obs/snapshot.h"
-#include "sim/batch_census_simulator.h"
 #include "sim/census_simulator.h"
 #include "sim/convergence.h"
 #include "sim/leap_census_simulator.h"
@@ -73,11 +69,10 @@ namespace plurality::scenario {
 enum class backend_kind : std::uint8_t {
     agent,   ///< sim::simulation — per-agent vector, O(n) memory
     census,  ///< sim::census_simulator — state counters, O(S) memory
-    batch,   ///< sim::batch_census_simulator — collision-free run batching
-    leap     ///< sim::leap_census_simulator — pair-type contingency-table leaping
+    leap     ///< sim::leap_census_simulator — collision-free run batching
 };
 
-/// CLI/JSON name of a backend ("agent" / "census" / "batch" / "leap").
+/// CLI/JSON name of a backend ("agent" / "census" / "leap").
 [[nodiscard]] const char* backend_name(backend_kind backend) noexcept;
 
 /// Parses a backend name; nullopt on anything unknown.
@@ -118,8 +113,18 @@ enum class flag_parse {
 /// Parses the scenario_params CLI flag at `argv[i]` (--n, --k, --workload,
 /// --bias, --dust, --fraction, --zipf-s, --sources, --time-budget), shared
 /// by every driver that exposes the parameter surface (plurality_run,
-/// plurality_lab).  `--fraction` is given in percent.
+/// plurality_lab).  `--fraction` is given in percent.  Integer values are
+/// parsed strictly (see `parse_unsigned_flag`): a malformed or out-of-range
+/// value throws std::invalid_argument instead of wrapping around.
 [[nodiscard]] flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int& i);
+
+/// Parses `text`, the value of CLI flag `flag`, as a decimal integer in
+/// [0, max].  The whole text must be digits — no sign, no whitespace, no
+/// suffix — so "-1" and "5000000000" for a 32-bit field are rejected rather
+/// than silently wrapped.  Throws std::invalid_argument with a one-line
+/// message naming the flag, the text and the valid range.
+[[nodiscard]] std::uint64_t parse_unsigned_flag(std::string_view flag, const char* text,
+                                                std::uint64_t max);
 
 /// One named measurement extracted from a final (or in-flight) configuration.
 struct metric {
@@ -165,10 +170,10 @@ struct run_options {
 /// workload instance built inside make_protocol, consulted by correct());
 /// every run operates on a fresh copy of the spec.
 ///
-/// `converged`, `correct` and `metrics` must accept *both* simulation
-/// backends — in practice they are member templates over the simulation
+/// `converged`, `correct` and `metrics` must accept every simulation
+/// backend — in practice they are member templates over the simulation
 /// type, written with the sim::view helpers.  `make_population` feeds the
-/// agent backend; `make_census` feeds the census backend and must describe
+/// agent backend; `make_census` feeds the census and leap backends and must describe
 /// the same initial configuration as a census (it is what keeps census runs
 /// O(S): no per-agent vector is ever materialized).
 template <class S>
@@ -178,8 +183,6 @@ concept scenario_spec =
     requires(S s, const scenario_params& p, sim::rng& gen,
              const sim::simulation<typename S::protocol_t>& asim,
              const sim::census_simulator<typename S::protocol_t, typename S::codec_t>& csim,
-             const sim::batch_census_simulator<typename S::protocol_t, typename S::codec_t>&
-                 bsim,
              const sim::leap_census_simulator<typename S::protocol_t, typename S::codec_t>&
                  lsim) {
         { s.make_protocol(p, gen) } -> std::same_as<typename S::protocol_t>;
@@ -195,9 +198,6 @@ concept scenario_spec =
         { s.converged(csim) } -> std::convertible_to<bool>;
         { s.correct(csim) } -> std::convertible_to<bool>;
         { s.metrics(csim) } -> std::convertible_to<std::vector<metric>>;
-        { s.converged(bsim) } -> std::convertible_to<bool>;
-        { s.correct(bsim) } -> std::convertible_to<bool>;
-        { s.metrics(bsim) } -> std::convertible_to<std::vector<metric>>;
         { s.converged(lsim) } -> std::convertible_to<bool>;
         { s.correct(lsim) } -> std::convertible_to<bool>;
         { s.metrics(lsim) } -> std::convertible_to<std::vector<metric>>;
@@ -278,13 +278,6 @@ private:
             const std::uint64_t run_seed = sim::derive_seed(seed, scenario_run_stream);
             if (backend == backend_kind::census) {
                 sim::census_simulator<typename S::protocol_t, typename S::codec_t> sim{
-                    std::move(protocol), spec.make_census(params, setup), run_seed};
-                return drive(spec, params, sim, options);
-            }
-            if (backend == backend_kind::batch) {
-                // The batch backend consumes the same census builders — no
-                // n-sized vector is ever materialized on this path either.
-                sim::batch_census_simulator<typename S::protocol_t, typename S::codec_t> sim{
                     std::move(protocol), spec.make_census(params, setup), run_seed};
                 return drive(spec, params, sim, options);
             }

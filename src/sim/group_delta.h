@@ -1,10 +1,11 @@
-// Group-level δ application machinery shared by the batch and leap census
-// backends (sim/batch_census_simulator.h, sim/leap_census_simulator.h).
+// Group-level δ application machinery of the run-batching census backend
+// (sim/leap_census_simulator.h).
 //
-// Both backends decompose the scheduler's interaction sequence into
-// collision-free runs and apply δ per ordered state-pair *group* — all m
+// That backend decomposes the scheduler's interaction sequence into
+// collision-free runs and applies δ per ordered state-pair *group* — all m
 // interactions of a run that see the same (initiator-state, responder-state)
-// pair.  This header holds everything that stage has in common:
+// pair.  This header holds the protocol-facing and per-run pieces of that
+// stage:
 //
 //  * `declares_deterministic_delta` — the protocol trait for RNG-free pairs
 //    (one δ evaluation moves the whole group's mass);
@@ -50,8 +51,8 @@ namespace detail {
 /// handful of post-states per run — and switch to a hash index only once a
 /// run exceeds the threshold (per-pair-fallback runs of large-S protocols).
 /// The previous per-run unordered_map rebuilt a heap node per group per run,
-/// which dominated batch setup at small n; the flat path is allocation-free
-/// after warm-up.  Shared by the batch and leap census backends.
+/// which dominated run setup at small n; the flat path is allocation-free
+/// after warm-up.
 template <class Agent, class Key>
 class used_group_set {
 public:

@@ -1,56 +1,66 @@
-// Pair-type leaping backend: collision-free runs characterized entirely by
-// their ordered pair-type contingency table — no participant sampling, no
-// per-interaction survival walk, the *exact* same sequential Markov chain.
+// Run-batching census backend: many interactions per unit of bookkeeping
+// work, *exactly* the same sequential Markov chain as the per-interaction
+// backends.
 //
-// The batch backend (sim/batch_census_simulator.h) already applies δ per
-// ordered state-pair group, but two of its per-run costs still scale with
-// the run length L ≈ √n:
-//
-//   * the run length itself is sampled by walking the birthday survival
-//     product one interaction at a time — O(L) multiplies per run, which at
-//     n = 10⁹ (L ≈ 2·10⁴) is the dominant cost of the entire backend;
-//   * the 2L participants are materialized as a census-space group draw
-//     before being split into initiator/responder halves.
-//
-// For a deterministic-δ protocol neither is necessary: a collision-free run
-// is *fully described* by its ordered (initiator-state × responder-state)
-// contingency table, so the leap backend samples that table directly:
+// The per-step census backend (sim/census_simulator.h) pays two Fenwick
+// descents, a δ call and up to four tree updates for every interaction.  For
+// small-S protocols almost all of that work is redundant: under the uniform
+// pairwise scheduler, long prefixes of the interaction sequence touch
+// pairwise-distinct agents (the birthday problem — the expected prefix is
+// Θ(√n)), and within such a *collision-free run* the interactions commute.
+// A run is therefore fully described by its ordered (initiator-state ×
+// responder-state) contingency table, and this backend samples that table
+// directly, one run at a time:
 //
 //   1. Run length L: one uniform inverted through the closed-form
 //      log-survival function (dist::sample_collision_free_run_leap) —
-//      O(log L) worst case, O(1) expected, instead of O(L).
-//   2. Initiator-state counts: one multivariate-hypergeometric draw of L
-//      agents over the census (dist::multivariate_hypergeometric).
-//   3. Responder-state counts: one MVH draw of L agents over the remaining
-//      census.  By exchangeability of without-replacement draws, (2)+(3)
-//      have exactly the joint law of the batch backend's
-//      2L-participants-then-split factorization — the participant stage is
-//      skipped, never approximated.
-//   4. The table: a uniform random bijection between the initiator and
-//      responder multisets, sampled row-by-row by sequential MVH
-//      conditioning; δ applies once per nonzero cell (one multinomial split
-//      per cell for pairs with a declared outcome distribution — the
-//      randomized-δ group path of sim/group_delta.h — and per interaction
-//      for undeclared pairs: the same exact fallback as the batch backend,
-//      so every protocol runs correctly).
-//   5. The colliding interaction, when the run ended naturally, is executed
-//      from its exact conditional distribution — same three-case
-//      (both-used / used-fresh / fresh-used) handling as the batch backend.
+//      O(log L) worst case, O(1) expected, instead of walking the survival
+//      product one interaction at a time.
+//   2. Participants: one multivariate-hypergeometric draw of the 2L
+//      participants over the occupied census, compacted to the states that
+//      take part (at most 2L of them), then one MVH split of the initiator
+//      half within those.  Every stage after the full-width draw is sized by
+//      the participating states, not the occupied ones.
+//   3. The table: a uniform random bijection between the initiator and
+//      responder multisets, sampled row by row by sequential MVH
+//      conditioning.  δ applies once per nonzero cell: one δ call for a
+//      pair the protocol declares deterministic, one multinomial split for a
+//      pair with a declared outcome distribution (the randomized-δ group
+//      path, sim/group_delta.h), one δ call per interaction for any other
+//      pair — so every protocol runs, and runs exactly.
+//   4. If the run ended in a collision rather than at the caller's budget,
+//      the colliding interaction is executed from its exact conditional
+//      distribution: a uniform ordered pair of distinct agents conditioned
+//      on touching at least one run participant, whose state is its
+//      post-run state (the three-case decode of sim/group_delta.h).
 //
-// Per-run cost is O(occupied) fixed work for the margin draws plus
-// O(nonzero²) for the table — *independent of L* up to the O(σ) ≈ O(n^¼)
-// enumeration inside each mode-centered variate — so at n = 10⁹ with ≤10
-// occupied states a run of ~2·10⁴ interactions costs ~10²–10³ draws' worth
-// of work where the batch backend walks ~2·10⁴ survival terms.
-// bench_e17_leap measures the ratio (acceptance bar: ≥5× batch on epidemic
-// and three-state at n = 10⁹).
+// Steps 1–4 repeat until the requested interaction count is reached; the
+// final run is truncated so `run_for` executes *exactly* the requested number
+// of interactions and `sim::converge`'s budget accounting stays exact.  A
+// census with a single occupied, quiescent state executes the whole budget
+// in O(1).  Per-run cost is O(occupied) for the participant draw plus
+// O(participating²) for the split and the table — independent of L up to the
+// O(σ) ≈ O(n^¼) enumeration inside each mode-centered variate — so at
+// n = 10⁹ with a handful of occupied states a run of ~2·10⁴ interactions
+// costs a few dozen variates.  bench_e17_leap measures the ratio against the
+// per-step census backend (acceptance bar: ≥ 25× on epidemic and three-state
+// at n = 10⁹).
 //
-// Exactness: every draw above is an exact conditional of the uniform
-// pairwise scheduler's law, in the same style as the batch backend's MVH
-// machinery — the two backends simulate the same chain and the existing 5σ
-// cross-backend validation carries over (tests/test_leap_backend.cpp).  Runs
-// are pure functions of the seed; trajectories are backend-specific, as
-// always.
+// Correctness sketch: the scheduler's interaction sequence is i.i.d. uniform
+// over ordered pairs of distinct agents.  Decompose it by the position of
+// the first collision: the prefix, conditioned on being collision-free, is a
+// uniform without-replacement draw of 2L distinct agents — and because no
+// agent appears twice, each interaction's inputs are the agents' pre-run
+// states, so the per-pair transitions commute and only the *multiset* of
+// ordered state pairs matters.  Drawing the 2L participants' states, then
+// which of them sit in initiator slots, then the pairing, is an exact
+// factorization of that multiset's law (exchangeability of
+// without-replacement draws).  The colliding interaction is sampled from its
+// exact conditional distribution given the set of used agents.  Convergence
+// time distributions therefore agree with the agent and per-step census
+// backends (tests/test_leap_backend.cpp and tests/test_census_backend.cpp
+// pin this at 5σ); runs are pure functions of the seed, and per-seed
+// trajectories are backend-specific, as with every backend.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +72,6 @@
 #include "obs/catalogue.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
-#include "sim/batch_census_simulator.h"
 #include "sim/census_simulator.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
@@ -115,7 +124,7 @@ public:
     /// Executes exactly `count` interactions, one collision-free run at a
     /// time; the last run is truncated to land on `count` precisely.
     void run_for(std::uint64_t count) {
-        while (count > 0) count -= run_batch(count);
+        while (count > 0) count -= leap_run(count);
     }
 
     [[nodiscard]] std::uint64_t interactions() const noexcept { return interactions_; }
@@ -151,7 +160,7 @@ public:
     /// Approximate heap footprint of the census bookkeeping.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
         return slots_.capacity() * sizeof(slot) +
-               (counts_.capacity() + init_.capacity() + resp_.capacity() + pinit_.capacity() +
+               (counts_.capacity() + participants_.capacity() + pinit_.capacity() +
                 presp_.capacity() + row_.capacity()) *
                    sizeof(std::uint64_t) +
                (occupied_list_.capacity() + pslots_.capacity()) * sizeof(std::uint32_t) +
@@ -221,12 +230,15 @@ private:
     /// One leap: a collision-free run truncated at `budget`, plus the
     /// colliding interaction when the run ended naturally.  Returns the
     /// number of interactions executed (>= 1).
-    std::uint64_t run_batch(std::uint64_t budget) {
-        // Snapshot the occupied census slots (same lazy in-place compaction
-        // as the batch backend: dormant slots leave the list at the next
-        // snapshot, preserving discovery order, so a run costs O(occupied)
-        // rather than O(reachable)).  Consumes no randomness, so it can run
-        // before the run-length draw and feed the absorbed-census check.
+    std::uint64_t leap_run(std::uint64_t budget) {
+        // Snapshot the occupied census slots: all draws below are over the
+        // pre-run counts.  `occupied_list_` tracks occupied slots
+        // incrementally and drops dormant ones lazily, in place, preserving
+        // discovery order, so a run costs O(occupied) rather than
+        // O(reachable) — protocols that keep discovering fresh states (the
+        // tournament families) would otherwise degrade as dormant slots pile
+        // up.  Consumes no randomness, so it can run before the run-length
+        // draw and feed the absorbed-census check.
         counts_.clear();
         std::size_t keep = 0;
         for (std::size_t r = 0; r < occupied_list_.size(); ++r) {
@@ -287,32 +299,27 @@ private:
         const std::uint64_t t1 = timed ? obs::now_ticks() : 0;
         if (timed) metrics_.t_run_length.add_ticks(t1 - t0);
 
-        // Margins first, participants never: the L initiators are an MVH
-        // draw over the census, the L responders an MVH draw over what
-        // remains.  (Equivalent to the batch backend's
-        // draw-2L-then-split-halves factorization by exchangeability; one
-        // full-width stage cheaper, and no 2L-sized anything.)
-        init_.assign(occupied_list_.size(), 0);
-        dist::multivariate_hypergeometric(gen_, counts_, pairs, init_);
-        for (std::size_t j = 0; j < occupied_list_.size(); ++j) counts_[j] -= init_[j];
-        resp_.assign(occupied_list_.size(), 0);
-        dist::multivariate_hypergeometric(gen_, counts_, pairs, resp_);
-
-        // Withdraw all participants and compact to the states that take part
-        // (at most 2L of them): every stage below is quadratic-ish in the
-        // category count.  Zero-draw categories consumed no randomness, so
-        // compaction leaves the stream unchanged.
+        // The run's 2L participants, grouped by state (drawn without
+        // replacement) and withdrawn from the census up front.  Compact to
+        // the states that take part right away: every stage below is
+        // quadratic-ish in the category count, and zero-draw categories
+        // consumed no randomness, so compaction leaves the stream unchanged.
+        participants_.assign(occupied_list_.size(), 0);
+        dist::multivariate_hypergeometric(gen_, counts_, 2 * pairs, participants_);
         pslots_.clear();
-        pinit_.clear();
         presp_.clear();
         for (std::size_t j = 0; j < occupied_list_.size(); ++j) {
-            const std::uint64_t taking = init_[j] + resp_[j];
-            if (taking == 0) continue;
-            adjust(occupied_list_[j], -static_cast<std::int64_t>(taking));
+            if (participants_[j] == 0) continue;
+            adjust(occupied_list_[j], -static_cast<std::int64_t>(participants_[j]));
             pslots_.push_back(occupied_list_[j]);
-            pinit_.push_back(init_[j]);
-            presp_.push_back(resp_[j]);
+            presp_.push_back(participants_[j]);
         }
+
+        // Split into the initiator half; the responder counts follow by
+        // subtraction.
+        pinit_.assign(pslots_.size(), 0);
+        dist::multivariate_hypergeometric(gen_, presp_, pairs, pinit_);
+        for (std::size_t j = 0; j < pslots_.size(); ++j) presp_[j] -= pinit_[j];
 
         const std::uint64_t t2 = timed ? obs::now_ticks() : 0;
         if (timed) metrics_.t_margins.add_ticks(t2 - t1);
@@ -478,11 +485,10 @@ private:
     // path.
     std::vector<std::uint32_t> occupied_list_;  ///< occupied slots, discovery order
     std::vector<std::uint64_t> counts_;         ///< snapshot of their counts
-    std::vector<std::uint64_t> init_;           ///< initiator margin per occupied slot
-    std::vector<std::uint64_t> resp_;           ///< responder margin per occupied slot
+    std::vector<std::uint64_t> participants_;   ///< participants per occupied slot
     std::vector<std::uint32_t> pslots_;         ///< slots taking part (compact)
     std::vector<std::uint64_t> pinit_;          ///< initiator margin, compacted
-    std::vector<std::uint64_t> presp_;          ///< unpaired responders, compacted
+    std::vector<std::uint64_t> presp_;          ///< participants, then unpaired responders
     std::vector<std::uint64_t> row_;            ///< one contingency-table row
     detail::used_group_set<agent_t, key_t> used_;  ///< post-run states of participants
     detail::delta_outcome_table<P, Codec> delta_table_;  ///< randomized-δ group path cache

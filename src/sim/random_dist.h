@@ -5,8 +5,8 @@
 // libraries — so every non-uniform draw the simulators need is implemented
 // here, once, against `rng`: geometric, binomial, hypergeometric and
 // multivariate-hypergeometric variates plus the birthday-problem
-// collision-free run length the batched census backend
-// (sim/batch_census_simulator.h) steps by.
+// collision-free run length the run-batching census backend
+// (sim/leap_census_simulator.h) steps by.
 //
 // All integer-valued samplers use *exact inversion*: one `next_unit()` draw
 // is inverted through the target CDF, enumerating probabilities outward from
@@ -15,8 +15,9 @@
 // loop, and every sampler consumes *at most* one uniform — exactly one for a
 // non-degenerate draw, none when the support is a single point (binomial
 // with p ∈ {0, 1} or n = 0, hypergeometric with lo == hi, zero-draw MVH
-// categories).  The batched census backend relies on that zero-consumption
-// when skipping empty categories, so treat it as part of the contract.
+// categories).  The run-batching census backend relies on that
+// zero-consumption when skipping empty categories, so treat it as part of
+// the contract.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +82,10 @@ struct collision_run {
 /// Survival inversion on one uniform: P(L >= l) = Π_{t<l} (n-2t)(n-2t-1) /
 /// (n(n-1)).  Requires n >= 2 and cap >= 1; the first interaction is always
 /// collision-free, so length >= 1.
+/// This is the O(L) *reference* sampler: it walks the survival product one
+/// interaction at a time, a direct transcription of the law.  No backend
+/// steps by it; it pins the law that `sample_collision_free_run_leap` must
+/// reproduce (tests/test_random_dist.cpp checks both against the exact law).
 [[nodiscard]] collision_run sample_collision_free_run(rng& gen, std::uint64_t population,
                                                       std::uint64_t cap) noexcept;
 
@@ -99,12 +104,11 @@ struct collision_run {
 /// instead of O(L): one uniform is inverted through the closed-form
 /// log-survival function by bracketed search seeded at the Gaussian
 /// approximation L ≈ √(-n·ln u / 2), instead of walking the survival product
-/// one interaction at a time.  This is what makes the pair-type leaping
-/// backend's per-run cost independent of the run length L ≈ √n
-/// (sim/leap_census_simulator.h).  Consumes exactly one uniform, like the
-/// loop sampler; the two samplers invert the same law but are not bitwise
-/// stream-compatible (their rounding differs), which is fine because random
-/// streams are per-backend anyway.
+/// one interaction at a time.  This is the sampler the run-batching census
+/// backend steps by (sim/leap_census_simulator.h): it makes the per-run cost
+/// independent of the run length L ≈ √n.  Consumes exactly one uniform, like
+/// the reference sampler; the two invert the same law but are not bitwise
+/// stream-compatible (their rounding differs).
 [[nodiscard]] collision_run sample_collision_free_run_leap(rng& gen, std::uint64_t population,
                                                            std::uint64_t cap) noexcept;
 

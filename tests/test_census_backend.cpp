@@ -216,7 +216,7 @@ TEST(CensusBackend, JsonReportIsByteIdenticalAcrossThreadCounts) {
 
 // -- cross-backend distributional agreement -----------------------------------
 //
-// All three backends (agent, per-step census, batched census) sample the
+// All three backends (agent, per-step census, run-batching leap) sample the
 // interacting pair uniformly over ordered pairs of distinct agents, so for a
 // fixed initial configuration the convergence-time *distribution* is
 // identical; only the per-seed draws differ.  The tests below compare mean
@@ -263,11 +263,11 @@ void expect_backends_agree(const scenario::any_scenario& s,
                                         scenario::backend_kind::agent);
     const auto census = sample_mean_time(s, params, trials, base_seed,
                                          scenario::backend_kind::census);
-    const auto batch = sample_mean_time(s, params, trials, base_seed,
-                                        scenario::backend_kind::batch);
+    const auto leap = sample_mean_time(s, params, trials, base_seed,
+                                       scenario::backend_kind::leap);
     expect_means_agree(agent, census, "agent", "census");
-    expect_means_agree(agent, batch, "agent", "batch");
-    expect_means_agree(census, batch, "census", "batch");
+    expect_means_agree(agent, leap, "agent", "leap");
+    expect_means_agree(census, leap, "census", "leap");
 }
 
 TEST(CensusBackend, EpidemicBroadcastTimesAgreeAcrossBackends) {

@@ -1,11 +1,12 @@
-// Tests for the pair-type leaping backend (sim/leap_census_simulator.h):
+// Tests for the run-batching census backend (sim/leap_census_simulator.h):
 // exact interaction accounting under truncation, bookkeeping invariants,
 // per-seed determinism, grouped-δ vs per-pair-fallback equivalence,
 // registry-wide convergence, the scenario-layer determinism contract (JSON
 // byte-identity across thread counts), and 5σ distributional agreement with
-// the batch and census backends — the leap backend factors the same run law
-// into contingency-table draws, so convergence-time distributions must be
-// indistinguishable even though no participant vector is ever materialized.
+// the per-step census backend — the leap backend factors the same run law
+// into participant and contingency-table draws, so convergence-time
+// distributions must be indistinguishable even though no agent is ever
+// materialized.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -273,11 +274,11 @@ TEST(LeapBackend, LoadBalanceConservesTotalLoad) {
 
 // -- cross-backend distributional agreement -----------------------------------
 //
-// Same factorized interaction law, different sampling path: for a fixed
-// initial configuration the convergence-time distribution on the leap
-// backend must match the batch and census backends (only per-seed draws
-// differ).  Means over independent trials are compared under a calibrated
-// ~5σ band plus a small absolute slack — not tuned seeds.
+// Same interaction law, different sampling path: for a fixed initial
+// configuration the convergence-time distribution on the leap backend must
+// match the per-step census backend (only per-seed draws differ).  Means over
+// independent trials are compared under a calibrated ~5σ band plus a small
+// absolute slack — not tuned seeds.
 
 struct backend_sample {
     double mean = 0.0;
@@ -308,17 +309,14 @@ void expect_means_agree(const backend_sample& left, const backend_sample& right,
         << " (combined stderr " << combined << ")";
 }
 
-/// Pairwise 5σ agreement of leap against the batch and census backends.
+/// 5σ agreement of leap against the per-step census backend.
 void expect_leap_agrees(const scenario::any_scenario& s,
                         const scenario::scenario_params& params, std::size_t trials,
                         std::uint64_t base_seed) {
     const auto leap = sample_mean_time(s, params, trials, base_seed,
                                        scenario::backend_kind::leap);
-    const auto batch = sample_mean_time(s, params, trials, base_seed,
-                                        scenario::backend_kind::batch);
     const auto census = sample_mean_time(s, params, trials, base_seed,
                                          scenario::backend_kind::census);
-    expect_means_agree(leap, batch, "leap", "batch");
     expect_means_agree(leap, census, "leap", "census");
 }
 
@@ -337,6 +335,18 @@ TEST(LeapBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
     params.n = 600;
     params.bias = 60;
     expect_leap_agrees(*s, params, 30, 4004);
+}
+
+// Averaging majority keeps hundreds of states occupied, so most of a run's
+// participants sit in distinct states: the regime where the 2L-participant
+// draw and its initiator split, not the contingency table, dominate a run.
+TEST(LeapBackend, AveragingMajorityTimesAgreeAcrossBackends) {
+    const auto* s = scenario::scenario_registry::instance().find("majority/averaging");
+    ASSERT_NE(s, nullptr);
+    scenario::scenario_params params;
+    params.n = 600;
+    params.bias = 60;
+    expect_leap_agrees(*s, params, 30, 5005);
 }
 
 }  // namespace

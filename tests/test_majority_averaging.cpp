@@ -2,6 +2,7 @@
 // the substrate of the tournament's match phase (Appendix A).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "majority/averaging_majority.h"
@@ -34,15 +35,24 @@ TEST(AveragingMajority, PopulationVerdictRequiresUnanimity) {
     EXPECT_EQ(population_verdict(agents), majority_verdict::plus);
 }
 
+// gtest prints a bias_case as a raw byte dump, and ctest registers each case
+// under that dump, so every byte of the struct is part of the test's name.
+// `tail` fills what would otherwise be padding: left uninitialised, those
+// bytes held leftover stack contents (part of an ASLR-randomised address) and
+// the registered name changed from one test discovery to the next. Each case
+// pins the tail bytes its name was first registered with.
 struct bias_case {
     std::int32_t plus_extra;  ///< plus agents minus minus agents
     majority_verdict expected;
+    std::array<std::uint8_t, 3> tail;
 };
+static_assert(sizeof(bias_case) == 8, "the test names assume an 8-byte bias_case");
 
 class AveragingBiasSweep : public ::testing::TestWithParam<bias_case> {};
 
 TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
-    const auto [extra, expected] = GetParam();
+    const std::int32_t extra = GetParam().plus_extra;
+    const majority_verdict expected = GetParam().expected;
     const std::uint32_t n = 2048;
     const std::uint32_t base = n / 4;
     const std::uint32_t plus = base + (extra > 0 ? extra : 0);
@@ -71,11 +81,12 @@ TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Biases, AveragingBiasSweep,
-                         ::testing::Values(bias_case{1, majority_verdict::plus},
-                                           bias_case{-1, majority_verdict::minus},
-                                           bias_case{0, majority_verdict::tie},
-                                           bias_case{7, majority_verdict::plus},
-                                           bias_case{-64, majority_verdict::minus}));
+                         ::testing::Values(
+                             bias_case{1, majority_verdict::plus, {0x00, 0x00, 0x00}},
+                             bias_case{-1, majority_verdict::minus, {0xFF, 0xFF, 0xFF}},
+                             bias_case{0, majority_verdict::tie, {0x00, 0x00, 0x00}},
+                             bias_case{7, majority_verdict::plus, {0x00, 0x00, 0x00}},
+                             bias_case{-64, majority_verdict::minus, {0x55, 0x00, 0x00}}));
 
 TEST(AveragingMajority, SumInvariant) {
     const std::int64_t amp = default_amplification(512);

@@ -255,7 +255,7 @@ TEST(RandomDist, HypergeometricWideReflectedParametersMeanAndVariance) {
 }
 
 TEST(RandomDist, HypergeometricCensusScaleMeanAndVariance) {
-    // The batched census backend's regime: a billion-agent urn, tens of
+    // The run-batching census backend's regime: a billion-agent urn, tens of
     // thousands of draws.
     constexpr std::uint64_t total = 1'000'000'000;
     constexpr std::uint64_t successes = 400'000'000;

@@ -6,7 +6,7 @@
 // the per-pair δ ground truth for both tournament protocols (leader
 // election and exact plurality), grouped-vs-fallback distributional
 // agreement at the backend level, and 5σ cross-backend agreement of
-// convergence times (agent vs batch vs leap) for the paper's protocols.
+// convergence times (agent vs census vs leap) for the paper's protocols.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,9 +22,9 @@
 #include "majority/three_state.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
-#include "sim/batch_census_simulator.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
+#include "sim/leap_census_simulator.h"
 #include "sim/rng.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
@@ -347,7 +347,7 @@ TEST(RandomizedDeltaLeader, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta) {
 }
 
 TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta) {
-    // Harvest reachable states from a short batch run of the ordered
+    // Harvest reachable states from a short leap run of the ordered
     // tournament protocol, then check every ordered pair of the harvested
     // states against the per-pair δ ground truth.
     const auto dist = workload::make_bias_one(512, 2, 32);
@@ -368,7 +368,7 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
 
     std::set<core::core_census_codec::key_t> seen;
     std::vector<core::core_agent> states;
-    sim::batch_census_simulator<core::plurality_protocol, core::core_census_codec> harvest{
+    sim::leap_census_simulator<core::plurality_protocol, core::core_census_codec> harvest{
         proto, entries, 11};
     for (int checkpoint = 0; checkpoint < 8 && states.size() < 16; ++checkpoint) {
         harvest.run_for(512 * 6);
@@ -398,7 +398,7 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
 
 // -- grouped vs per-pair fallback at the backend level ------------------------
 
-/// Leader election with both fast-backend traits hidden: the batch backend
+/// Leader election with both fast-backend traits hidden: the leap backend
 /// must take the per-pair fallback for every group.
 struct per_pair_leader {
     using agent_t = leader::leader_agent;
@@ -432,13 +432,13 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
             });
         };
         if (grouped) {
-            sim::batch_census_simulator<leader::leader_election_protocol,
-                                        leader::leader_census_codec>
+            sim::leap_census_simulator<leader::leader_election_protocol,
+                                       leader::leader_census_codec>
                 s{leader::leader_election_protocol{psi, rounds}, init, seed};
             s.run_for(horizon);
             tally(s);
         } else {
-            sim::batch_census_simulator<per_pair_leader, leader::leader_census_codec> s{
+            sim::leap_census_simulator<per_pair_leader, leader::leader_census_codec> s{
                 per_pair_leader{leader::leader_election_protocol{psi, rounds}}, init, seed};
             s.run_for(horizon);
             tally(s);
@@ -491,28 +491,28 @@ void expect_means_agree(const backend_sample& left, const backend_sample& right,
         << " (combined stderr " << combined << ")";
 }
 
-TEST(RandomizedDeltaCrossBackend, LeaderElectionTimesAgreeAcrossAgentBatchLeap) {
+TEST(RandomizedDeltaCrossBackend, LeaderElectionTimesAgreeAcrossAgentCensusLeap) {
     const auto* s = scenario::scenario_registry::instance().find("leader/election");
     ASSERT_NE(s, nullptr);
     scenario::scenario_params params;
     params.n = 256;
     const auto agent = sample_mean_time(*s, params, 30, 6006, scenario::backend_kind::agent);
-    const auto batch = sample_mean_time(*s, params, 30, 6006, scenario::backend_kind::batch);
+    const auto census = sample_mean_time(*s, params, 30, 6006, scenario::backend_kind::census);
     const auto leap = sample_mean_time(*s, params, 30, 6006, scenario::backend_kind::leap);
-    expect_means_agree(batch, agent, "batch", "agent");
+    expect_means_agree(census, agent, "census", "agent");
     expect_means_agree(leap, agent, "leap", "agent");
 }
 
-TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentBatchLeap) {
+TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLeap) {
     const auto* s = scenario::scenario_registry::instance().find("plurality/ordered");
     ASSERT_NE(s, nullptr);
     scenario::scenario_params params;
     params.n = 512;
     params.k = 2;
     const auto agent = sample_mean_time(*s, params, 16, 7007, scenario::backend_kind::agent);
-    const auto batch = sample_mean_time(*s, params, 16, 7007, scenario::backend_kind::batch);
+    const auto census = sample_mean_time(*s, params, 16, 7007, scenario::backend_kind::census);
     const auto leap = sample_mean_time(*s, params, 16, 7007, scenario::backend_kind::leap);
-    expect_means_agree(batch, agent, "batch", "agent");
+    expect_means_agree(census, agent, "census", "agent");
     expect_means_agree(leap, agent, "leap", "agent");
 }
 

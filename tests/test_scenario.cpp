@@ -7,6 +7,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "scenario/builtin.h"
 #include "scenario/json_report.h"
@@ -163,10 +165,39 @@ TEST(ScenarioBackends, ParseBackendAcceptsExactlyTheAdvertisedList) {
         ++parsed;
         start = end + 1;
     }
-    EXPECT_EQ(parsed, 4u);
+    EXPECT_EQ(parsed, 3u);
     EXPECT_FALSE(scenario::parse_backend("warp").has_value());
     EXPECT_FALSE(scenario::parse_backend("").has_value());
-    EXPECT_FALSE(scenario::parse_backend("Batch").has_value());
+    EXPECT_FALSE(scenario::parse_backend("Leap").has_value());
+    EXPECT_FALSE(scenario::parse_backend("batch").has_value());
+}
+
+TEST(ScenarioFlags, IntegerFlagsAreRangeCheckedNotWrapped) {
+    EXPECT_EQ(scenario::parse_unsigned_flag("--n", "4294967295", 0xffffffffull), 0xffffffffull);
+    EXPECT_EQ(scenario::parse_unsigned_flag("--seed", "18446744073709551615", ~0ull), ~0ull);
+    EXPECT_EQ(scenario::parse_unsigned_flag("--k", "0", 10), 0u);
+    for (const char* bad : {"4294967296", "-1", "+1", " 7", "7x", "", "0x10", "1e3"}) {
+        EXPECT_THROW((void)scenario::parse_unsigned_flag("--n", bad, 0xffffffffull),
+                     std::invalid_argument)
+            << '\'' << bad << '\'';
+    }
+    EXPECT_THROW((void)scenario::parse_unsigned_flag("--seed", "18446744073709551616", ~0ull),
+                 std::invalid_argument);
+
+    // Through the shared params parser: the value is rejected, the field is
+    // left alone, and the message names flag, text and range on one line.
+    scenario_params p;
+    std::string args[] = {"prog", "--n", "5000000000"};
+    char* argv[] = {args[0].data(), args[1].data(), args[2].data()};
+    int i = 1;
+    try {
+        (void)scenario::parse_param_flag(p, 3, argv, i);
+        ADD_FAILURE() << "--n 5000000000 was accepted as " << p.n;
+    } catch (const std::invalid_argument& error) {
+        EXPECT_STREQ(error.what(),
+                     "invalid --n '5000000000' (expected an integer in [0, 4294967295])");
+    }
+    EXPECT_EQ(p.n, scenario_params{}.n);
 }
 
 TEST(ScenarioWorkloads, UnknownNameThrows) {
