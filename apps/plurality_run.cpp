@@ -27,8 +27,8 @@
 // contingency table is sampled directly, so the same Markov chain steps at
 // a cost independent of the run length (see docs/ARCHITECTURE.md).
 //
-// Bad flag values (an unknown backend, an integer that is malformed or out
-// of range, a non-positive trace cadence) fail with one line on stderr and
+// Bad flag values (an unknown backend, a number that is malformed or out of
+// range, a non-positive trace cadence) fail with one line on stderr and
 // exit 2, with no usage dump.
 //
 // Examples:
@@ -37,8 +37,6 @@
 //   plurality_run --scenario baselines/usd --n 2049 --k 5 --trials 30 --threads 4
 //   plurality_run --scenario baselines/usd --n 100000000 --k 5 --backend census --trials 3
 //   plurality_run --scenario epidemic/broadcast --n 100000 --trace spread.csv
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +44,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -137,23 +136,8 @@ options parse(int argc, char** argv) {
         } else if (arg == "--trace") {
             opt.trace_path = value();
         } else if (arg == "--trace-cadence") {
-            // Strict parse: a silently-accepted garbage cadence (strtod
-            // returning 0) would sample every parallel-time unit instead of
-            // what the caller asked for.  One line, no usage dump — same
-            // contract as the unknown-backend error above.
-            const char* text = value();
-            char* end = nullptr;
-            errno = 0;
-            const double cadence = std::strtod(text, &end);
-            if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(cadence) ||
-                cadence <= 0.0) {
-                std::fprintf(stderr,
-                             "invalid --trace-cadence '%s' (expected a finite value > 0, in "
-                             "parallel-time units)\n",
-                             text);
-                std::exit(2);
-            }
-            opt.trace_cadence = cadence;
+            opt.trace_cadence = scenario::parse_real_flag(
+                arg, value(), 0.0, std::numeric_limits<double>::infinity(), true);
         } else if (arg == "--metrics") {
             opt.metrics_path = value();
         } else if (arg == "--metrics-prom") {
@@ -204,7 +188,7 @@ int main(int argc, char** argv) {
     try {
         opt = parse(argc, argv);
     } catch (const std::invalid_argument& error) {
-        // A malformed integer flag: one line, no usage dump.
+        // A malformed or out-of-range flag value: one line, no usage dump.
         std::fprintf(stderr, "%s\n", error.what());
         return 2;
     }

@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "bench_common.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -26,7 +27,7 @@ init_measurement measure_init(std::uint32_t n, std::uint32_t k, std::uint64_t se
     sim::simulation<core::plurality_protocol> s{std::move(proto), std::move(population),
                                                 sim::derive_seed(seed, 2)};
     const auto done = [](const auto& sim) { return core::init_finished(sim.agents()); };
-    (void)s.run_until(done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
+    (void)sim::converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
 
     init_measurement m;
     m.parallel_time = s.parallel_time();

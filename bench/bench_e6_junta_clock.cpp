@@ -12,6 +12,7 @@
 
 #include "clocks/junta.h"
 #include "clocks/junta_clock.h"
+#include "sim/convergence.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "util/math.h"
@@ -72,10 +73,10 @@ clock_measurement measure(std::uint32_t n, std::uint32_t x, std::uint64_t seed) 
     const double budget =
         4000.0 * (static_cast<double>(n) / x) * (static_cast<double>(n) / x) * std::log2(n);
     for (std::uint32_t h = 1; h <= hours_to_track; ++h) {
-        const auto reached = s.run_until(
-            [&](const auto& sim) { return max_sub_hours(sim) >= h; },
+        const auto reached = sim::converge(
+            s, [&](const auto& sim) { return max_sub_hours(sim) >= h; },
             static_cast<std::uint64_t>(budget) * n, n / 2);
-        if (!reached) break;
+        if (!reached.converged) break;
         hour_times.push_back(s.parallel_time());
     }
     if (!hour_times.empty()) m.first_hour_pt = hour_times.front();

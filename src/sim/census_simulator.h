@@ -108,11 +108,7 @@ template <class Codec, class Agent>
 /// per-agent storage), configuration inspection goes through
 /// `visit_states(fn)` — shared with `simulation` — and the weighted helpers
 /// of sim/population_view.h.
-/// `Obs` selects the observability policy (obs/metrics.h): the default
-/// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
-/// instrument out (the overhead bench instantiates both).
-template <protocol P, census_codec<typename P::agent_t> Codec,
-          class Obs = obs::default_policy>
+template <protocol P, census_codec<typename P::agent_t> Codec>
 class census_simulator {
 public:
     using agent_t = typename P::agent_t;
@@ -239,13 +235,11 @@ public:
     /// Appends this run's metrics (end-of-trial cold path; see src/obs/).
     /// All values are deterministic per seed.
     void collect_metrics(obs::snapshot& out) const {
-        if constexpr (Obs::active) {
-            out.add_counter(obs::m_interactions, interactions_);
-            out.add_counter(obs::m_rng_words, gen_.words());
-            out.add_counter(obs::m_fenwick_descents, metrics_.descents.value());
-            out.add_gauge(obs::m_occupied_hwm, metrics_.occupied_hwm.value());
-            out.add_gauge(obs::m_reachable_states, slots_.size());
-        }
+        out.add_counter(obs::m_interactions, interactions_);
+        out.add_counter(obs::m_rng_words, gen_.words());
+        out.add_counter(obs::m_fenwick_descents, metrics_.descents.value());
+        out.add_gauge(obs::m_occupied_hwm, metrics_.occupied_hwm.value());
+        out.add_gauge(obs::m_reachable_states, slots_.size());
     }
 
 private:
@@ -255,10 +249,9 @@ private:
         std::uint64_t count = 0;
     };
 
-    /// Policy-selected instruments; empty (and free) under obs::disabled.
     struct instrument_set {
-        [[no_unique_address]] typename Obs::counter_t descents;
-        [[no_unique_address]] typename Obs::gauge_t occupied_hwm;
+        obs::counter descents;
+        obs::gauge occupied_hwm;
     };
 
     /// Adds `count` agents in `state`, creating its slot on first sight.
@@ -361,7 +354,7 @@ private:
     std::size_t capacity_ = 0;         ///< tree capacity (power of two)
     std::uint64_t population_ = 0;     ///< invariant: Σ slot counts
     std::uint64_t interactions_ = 0;
-    [[no_unique_address]] instrument_set metrics_;
+    instrument_set metrics_;
 };
 
 }  // namespace plurality::sim

@@ -86,13 +86,9 @@ namespace plurality::sim {
 /// Satisfies the same `steppable_simulation` / `visit_states` contracts as
 /// the other backends, so `sim::converge`, `trace::recorder` and the
 /// sim::view helpers work unchanged.
-/// `Obs` selects the observability policy (obs/metrics.h): the default
-/// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
-/// instrument out.  This is the backend the ≤2% overhead gate measures
-/// (bench_e19_obs_overhead): a leap run at n = 10⁹ is ~10 µs of work, so
-/// all timers are run-granular — a handful of clock reads per run.
-template <protocol P, census_codec<typename P::agent_t> Codec,
-          class Obs = obs::default_policy>
+/// A leap run at n = 10⁹ is ~10 µs of work, so the phase timers are
+/// run-granular — a handful of clock reads per sampled run (obs/metrics.h).
+template <protocol P, census_codec<typename P::agent_t> Codec>
 class leap_census_simulator {
 public:
     using agent_t = typename P::agent_t;
@@ -179,28 +175,26 @@ public:
     /// phase timers are wall-clock and surface only in the sidecar's timing
     /// section.
     void collect_metrics(obs::snapshot& out) const {
-        if constexpr (Obs::active) {
-            out.add_counter(obs::m_interactions, interactions_);
-            out.add_counter(obs::m_rng_words, gen_.words());
-            out.add_counter(obs::m_runs, metrics_.runs.value());
-            out.add_counter(obs::m_collisions, metrics_.collisions.value());
-            out.add_counter(obs::m_absorbed_fastpath, metrics_.absorbed.value());
-            out.add_counter(obs::m_delta_deterministic, metrics_.delta_deterministic.value());
-            out.add_counter(obs::m_delta_grouped, metrics_.delta_grouped.value());
-            out.add_counter(obs::m_delta_fallback, metrics_.delta_fallback.value());
-            out.add_counter(obs::m_table_hits, delta_table_.hits());
-            out.add_counter(obs::m_table_misses, delta_table_.misses());
-            out.add_gauge(obs::m_occupied_hwm, metrics_.occupied_hwm.value());
-            out.add_gauge(obs::m_reachable_states, slots_.size());
-            out.add_histogram(obs::m_run_length, metrics_.run_length);
-            // Timers sample every obs::phase_sample_every-th run; scale the
-            // accumulated seconds back up to estimate the full phase time.
-            constexpr auto scale = static_cast<double>(obs::phase_sample_every);
-            out.add_timer(obs::m_phase_run_length, metrics_.t_run_length.seconds() * scale);
-            out.add_timer(obs::m_phase_margins, metrics_.t_margins.seconds() * scale);
-            out.add_timer(obs::m_phase_table, metrics_.t_table.seconds() * scale);
-            out.add_timer(obs::m_phase_collision, metrics_.t_collision.seconds() * scale);
-        }
+        out.add_counter(obs::m_interactions, interactions_);
+        out.add_counter(obs::m_rng_words, gen_.words());
+        out.add_counter(obs::m_runs, metrics_.runs.value());
+        out.add_counter(obs::m_collisions, metrics_.collisions.value());
+        out.add_counter(obs::m_absorbed_fastpath, metrics_.absorbed.value());
+        out.add_counter(obs::m_delta_deterministic, metrics_.delta_deterministic.value());
+        out.add_counter(obs::m_delta_grouped, metrics_.delta_grouped.value());
+        out.add_counter(obs::m_delta_fallback, metrics_.delta_fallback.value());
+        out.add_counter(obs::m_table_hits, delta_table_.hits());
+        out.add_counter(obs::m_table_misses, delta_table_.misses());
+        out.add_gauge(obs::m_occupied_hwm, metrics_.occupied_hwm.value());
+        out.add_gauge(obs::m_reachable_states, slots_.size());
+        out.add_histogram(obs::m_run_length, metrics_.run_length);
+        // Timers sample every obs::phase_sample_every-th run; scale the
+        // accumulated seconds back up to estimate the full phase time.
+        constexpr auto scale = static_cast<double>(obs::phase_sample_every);
+        out.add_timer(obs::m_phase_run_length, metrics_.t_run_length.seconds() * scale);
+        out.add_timer(obs::m_phase_margins, metrics_.t_margins.seconds() * scale);
+        out.add_timer(obs::m_phase_table, metrics_.t_table.seconds() * scale);
+        out.add_timer(obs::m_phase_collision, metrics_.t_collision.seconds() * scale);
     }
 
 private:
@@ -211,20 +205,19 @@ private:
         bool listed = false;  ///< currently present in occupied_list_
     };
 
-    /// Policy-selected instruments; empty (and free) under obs::disabled.
     struct instrument_set {
-        [[no_unique_address]] typename Obs::counter_t runs;
-        [[no_unique_address]] typename Obs::counter_t collisions;
-        [[no_unique_address]] typename Obs::counter_t absorbed;
-        [[no_unique_address]] typename Obs::counter_t delta_deterministic;
-        [[no_unique_address]] typename Obs::counter_t delta_grouped;
-        [[no_unique_address]] typename Obs::counter_t delta_fallback;
-        [[no_unique_address]] typename Obs::gauge_t occupied_hwm;
-        [[no_unique_address]] typename Obs::histogram_t run_length;
-        [[no_unique_address]] typename Obs::timer_t t_run_length;
-        [[no_unique_address]] typename Obs::timer_t t_margins;
-        [[no_unique_address]] typename Obs::timer_t t_table;
-        [[no_unique_address]] typename Obs::timer_t t_collision;
+        obs::counter runs;
+        obs::counter collisions;
+        obs::counter absorbed;
+        obs::counter delta_deterministic;
+        obs::counter delta_grouped;
+        obs::counter delta_fallback;
+        obs::gauge occupied_hwm;
+        obs::log2_histogram run_length;
+        obs::phase_timer t_run_length;
+        obs::phase_timer t_margins;
+        obs::phase_timer t_table;
+        obs::phase_timer t_collision;
     };
 
     /// One leap: a collision-free run truncated at `budget`, plus the
@@ -287,10 +280,7 @@ private:
         // Phase boundaries are one clock read each, at *run* granularity, on
         // every phase_sample_every-th run only (~17 ns per read adds up over
         // ~10⁶ runs; the 1-in-64 sample is scaled back up at collection).
-        // Under obs::disabled `timed` is constant false and everything folds
-        // away.
-        const bool timed =
-            Obs::active && metrics_.runs.value() % obs::phase_sample_every == 0;
+        const bool timed = metrics_.runs.value() % obs::phase_sample_every == 0;
         const std::uint64_t t0 = timed ? obs::now_ticks() : 0;
         const auto run = dist::sample_collision_free_run_leap(gen_, population_, budget);
         const std::uint64_t pairs = run.length;
@@ -492,7 +482,7 @@ private:
     std::vector<std::uint64_t> row_;            ///< one contingency-table row
     detail::used_group_set<agent_t, key_t> used_;  ///< post-run states of participants
     detail::delta_outcome_table<P, Codec> delta_table_;  ///< randomized-δ group path cache
-    [[no_unique_address]] instrument_set metrics_;
+    instrument_set metrics_;
 };
 
 }  // namespace plurality::sim

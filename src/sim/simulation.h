@@ -15,7 +15,6 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -71,24 +70,6 @@ public:
         for (std::uint64_t i = 0; i < count; ++i) step();
     }
 
-    /// Executes interactions until `pred(sim)` holds, checking every
-    /// `check_every` interactions (default: once per parallel-time unit), up
-    /// to `max_interactions`.  Returns the interaction count at which the
-    /// predicate first held, or nullopt if the budget ran out.
-    template <std::predicate<const simulation&> Pred>
-    std::optional<std::uint64_t> run_until(Pred pred, std::uint64_t max_interactions,
-                                           std::uint64_t check_every = 0) {
-        if (check_every == 0) check_every = agents_.size();
-        if (pred(*this)) return interactions_;
-        while (interactions_ < max_interactions) {
-            const std::uint64_t batch =
-                std::min<std::uint64_t>(check_every, max_interactions - interactions_);
-            run_for(batch);
-            if (pred(*this)) return interactions_;
-        }
-        return std::nullopt;
-    }
-
     [[nodiscard]] std::uint64_t interactions() const noexcept { return interactions_; }
     [[nodiscard]] double parallel_time() const noexcept {
         return static_cast<double>(interactions_) / static_cast<double>(agents_.size());
@@ -122,10 +103,8 @@ public:
     /// protocol δ itself — so it reports the two universal deterministic
     /// counts every backend shares.
     void collect_metrics(obs::snapshot& out) const {
-        if constexpr (obs::default_policy::active) {
-            out.add_counter(obs::m_interactions, interactions_);
-            out.add_counter(obs::m_rng_words, gen_.words());
-        }
+        out.add_counter(obs::m_interactions, interactions_);
+        out.add_counter(obs::m_rng_words, gen_.words());
     }
 
 private:
@@ -135,15 +114,5 @@ private:
     block_scheduler scheduler_;
     std::uint64_t interactions_ = 0;
 };
-
-/// Convenience: fraction of agents satisfying a property.
-template <class Agent, std::predicate<const Agent&> Pred>
-[[nodiscard]] double fraction_of(std::span<const Agent> agents, Pred pred) {
-    if (agents.empty()) return 0.0;
-    std::size_t count = 0;
-    for (const auto& a : agents)
-        if (pred(a)) ++count;
-    return static_cast<double>(count) / static_cast<double>(agents.size());
-}
 
 }  // namespace plurality::sim

@@ -56,9 +56,8 @@ struct trial_summary {
     }
 };
 
-/// Folds per-trial outcomes (in index order) into a summary.  Exposed so the
-/// sequential wrapper and tests aggregate through the exact same code path
-/// as the parallel executor.
+/// Folds per-trial outcomes (in index order) into a summary.  Exposed so
+/// tests aggregate through the exact same code path as the executor.
 [[nodiscard]] trial_summary aggregate_trials(std::span<const trial_outcome> outcomes);
 
 /// A callable usable as a trial body: maps a seed to its outcome.
@@ -74,7 +73,7 @@ concept trial_fn = requires(T& t, std::uint64_t seed) {
 /// invoke concurrently from multiple threads when `threads() > 1` — pure
 /// functions of the seed (the normal case: `run_to_consensus` and friends)
 /// always are; callables that capture and mutate shared state are not and
-/// belong on the sequential `run_trials` wrapper instead.
+/// need `trial_executor{1}`, which runs every trial on the calling thread.
 class trial_executor {
 public:
     /// `threads == 0` resolves to the hardware concurrency.  A pool is only

@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "baselines/usd_plurality.h"
-#include "sim/multi_trial.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
@@ -46,7 +46,7 @@ TEST(UsdPlurality, LargeBiasConvergesFastAndCorrectly) {
     const std::uint32_t n = 4096;
     // Bias of n/4: far above the sqrt(n log n) threshold.
     opinion_distribution dist{{n / 2 + n / 4, n / 4}};
-    const auto summary = plurality::sim::run_trials(10, 17, [&](std::uint64_t seed) {
+    const auto summary = plurality::sim::trial_executor{1}.run(10, 17, [&](std::uint64_t seed) {
         const auto r = run_usd(dist, seed, 500.0);
         plurality::sim::trial_outcome out;
         out.success = r.correct;
@@ -63,7 +63,7 @@ TEST(UsdPlurality, BiasOneIsEssentiallyACoinFlip) {
     const std::uint32_t n = 1024;
     const auto dist = make_bias_one(n + 1, 2);  // odd total => bias exactly 1
     ASSERT_EQ(dist.bias(), 1u);
-    const auto summary = plurality::sim::run_trials(60, 29, [&](std::uint64_t seed) {
+    const auto summary = plurality::sim::trial_executor{1}.run(60, 29, [&](std::uint64_t seed) {
         const auto r = run_usd(dist, seed, 4000.0);
         plurality::sim::trial_outcome out;
         out.success = r.correct;

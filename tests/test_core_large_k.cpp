@@ -5,14 +5,16 @@
 
 #include "core/plurality_protocol.h"
 #include "core/result.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
+using plurality::sim::converge;
 
 TEST(LargeK, AutoEnabledAboveTheoremLimit) {
     EXPECT_FALSE(protocol_config::make(algorithm_mode::ordered, 2048, 16).large_k);
@@ -33,7 +35,7 @@ TEST(LargeK, OrderedKOverEight) {
     const std::uint32_t k = 64;
     const auto cfg = protocol_config::make(algorithm_mode::ordered, n, k);
     const auto dist = make_bias_one(n, k);
-    const auto summary = plurality::sim::run_trials(4, 0x1c0, [&](std::uint64_t seed) {
+    const auto summary = plurality::sim::trial_executor{1}.run(4, 0x1c0, [&](std::uint64_t seed) {
         const auto r = run_to_consensus(cfg, dist, seed);
         plurality::sim::trial_outcome out;
         out.success = r.correct;
@@ -48,7 +50,7 @@ TEST(LargeK, UnorderedKOverEight) {
     const std::uint32_t k = 64;
     const auto cfg = protocol_config::make(algorithm_mode::unordered, n, k);
     const auto dist = make_bias_one(n, k);
-    const auto summary = plurality::sim::run_trials(3, 0x1c1, [&](std::uint64_t seed) {
+    const auto summary = plurality::sim::trial_executor{1}.run(3, 0x1c1, [&](std::uint64_t seed) {
         const auto r = run_to_consensus(cfg, dist, seed);
         plurality::sim::trial_outcome out;
         out.success = r.correct;
@@ -97,7 +99,7 @@ TEST(LargeK, RolePoolsFillDespiteSingletons) {
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 11};
     const auto done = [](const auto& sim) { return init_finished(sim.agents()); };
     ASSERT_TRUE(
-        s.run_until(done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).has_value());
+        converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(30ull * n);
     const auto counts = role_counts(s.agents());
     // Appendix C's claim: every non-collector role ends with a constant
@@ -120,7 +122,7 @@ TEST(LargeK, PluralityTokensSurviveModerateLargeK) {
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 13};
     const auto done = [](const auto& sim) { return init_finished(sim.agents()); };
     ASSERT_TRUE(
-        s.run_until(done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).has_value());
+        converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(30ull * n);
     EXPECT_EQ(tokens_of_opinion(s.agents(), dist.plurality_opinion()),
               dist.support_of(dist.plurality_opinion()));

@@ -6,13 +6,15 @@
 
 #include "core/plurality_protocol.h"
 #include "core/result.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
+using plurality::sim::converge;
 
 opinion_distribution bias_one_at(std::uint32_t n, std::uint32_t k, std::uint32_t position) {
     auto support = make_bias_one(n, k).support();
@@ -41,8 +43,8 @@ TEST_P(UnorderedSweep, PluralityWinsAtBiasOne) {
     ASSERT_EQ(dist.plurality_opinion(), position);
     const auto cfg = protocol_config::make(algorithm_mode::unordered, n, k);
 
-    const auto summary =
-        plurality::sim::run_trials(6, 4000 + n + 10 * k + position, [&](std::uint64_t seed) {
+    const auto summary = plurality::sim::trial_executor{1}.run(
+        6, 4000 + n + 10 * k + position, [&](std::uint64_t seed) {
             const auto r = run_to_consensus(cfg, dist, seed);
             plurality::sim::trial_outcome out;
             out.success = r.correct;
@@ -77,8 +79,8 @@ TEST(UnorderedAlgorithm, ExactlyOneLeaderEmergesTypically) {
             return count > sim.population_size() / 2;
         };
         const auto reached =
-            s.run_until(in_tournaments, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
-        ASSERT_TRUE(reached.has_value());
+            converge(s, in_tournaments, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
+        ASSERT_TRUE(reached.converged);
         s.run_for(50ull * n);  // let the stragglers transition
         if (leader_count(s.agents()) == 1) ++good;
     }
@@ -95,8 +97,8 @@ TEST(UnorderedAlgorithm, DefeatedOpinionsAreMarkedParticipated) {
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 77};
     const auto done = [](const auto& sim) { return all_winners(sim.agents()); };
     const auto finished =
-        s.run_until(done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
-    ASSERT_TRUE(finished.has_value());
+        converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
+    ASSERT_TRUE(finished.converged);
     // After convergence everyone is a winner-collector with one opinion.
     EXPECT_NE(consensus_opinion(s.agents()), 0u);
 }

@@ -5,8 +5,8 @@
 
 #include "analysis/scaling_fit.h"
 #include "epidemic/epidemic.h"
-#include "sim/multi_trial.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
@@ -66,7 +66,7 @@ TEST(Epidemic, BroadcastTimeIsLogarithmic) {
     std::vector<double> ns;
     std::vector<double> times;
     for (std::uint32_t n = 256; n <= 16384; n *= 4) {
-        const auto summary = plurality::sim::run_trials(
+        const auto summary = plurality::sim::trial_executor{1}.run(
             10, 1000 + n, [n](std::uint64_t seed) {
                 plurality::sim::trial_outcome out;
                 out.success = true;

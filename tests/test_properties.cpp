@@ -12,6 +12,7 @@
 #include "loadbalance/load_balancer.h"
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
+#include "sim/convergence.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "workload/opinion_distribution.h"
@@ -19,6 +20,7 @@
 namespace {
 
 using namespace plurality;
+using plurality::sim::converge;
 
 // -- averaging: the pairwise step is exactly sum-preserving and contracts --
 
@@ -171,7 +173,7 @@ TEST_P(AveragingMonotonicity, VerdictMatchesSignOfDifference) {
     const auto done = [](const auto& sim) {
         return majority::population_verdict(sim.agents()) != majority::majority_verdict::undecided;
     };
-    ASSERT_TRUE(s.run_until(done, 2000ull * n).has_value());
+    ASSERT_TRUE(converge(s, done, 2000ull * n).converged);
     const auto verdict = majority::population_verdict(s.agents());
     if (diff > 0) EXPECT_EQ(verdict, majority::majority_verdict::plus);
     if (diff < 0) EXPECT_EQ(verdict, majority::majority_verdict::minus);

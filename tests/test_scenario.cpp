@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -198,6 +199,49 @@ TEST(ScenarioFlags, IntegerFlagsAreRangeCheckedNotWrapped) {
                      "invalid --n '5000000000' (expected an integer in [0, 4294967295])");
     }
     EXPECT_EQ(p.n, scenario_params{}.n);
+}
+
+TEST(ScenarioFlags, RealFlagsAreWholeTextFiniteAndInRange) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    EXPECT_DOUBLE_EQ(scenario::parse_real_flag("--time-budget", "0.05", 0.0, inf), 0.05);
+    EXPECT_DOUBLE_EQ(scenario::parse_real_flag("--time-budget", "0", 0.0, inf), 0.0);
+    EXPECT_DOUBLE_EQ(scenario::parse_real_flag("--time-budget", "1e3", 0.0, inf), 1000.0);
+    EXPECT_DOUBLE_EQ(scenario::parse_real_flag("--fraction", "100", 0.0, 100.0), 100.0);
+    for (const char* bad : {"abc", "", " 1", "1 ", "2x", "-3", "nan", "inf", "-inf", "1e999"}) {
+        EXPECT_THROW((void)scenario::parse_real_flag("--time-budget", bad, 0.0, inf),
+                     std::invalid_argument)
+            << '\'' << bad << '\'';
+    }
+    EXPECT_THROW((void)scenario::parse_real_flag("--fraction", "100.5", 0.0, 100.0),
+                 std::invalid_argument);
+    // An exclusive lower bound rejects the bound itself.
+    EXPECT_THROW((void)scenario::parse_real_flag("--trace-cadence", "0", 0.0, inf, true),
+                 std::invalid_argument);
+    EXPECT_DOUBLE_EQ(scenario::parse_real_flag("--trace-cadence", "0.5", 0.0, inf, true), 0.5);
+
+    // Through the shared params parser: each real flag rejects garbage with
+    // a one-line message, leaving the field at its default.
+    for (const std::string flag : {"--time-budget", "--fraction", "--zipf-s"}) {
+        scenario_params p;
+        std::string args[] = {"prog", flag, "abc"};
+        char* argv[] = {args[0].data(), args[1].data(), args[2].data()};
+        int i = 1;
+        EXPECT_THROW((void)scenario::parse_param_flag(p, 3, argv, i), std::invalid_argument)
+            << flag;
+        EXPECT_EQ(p.time_budget, scenario_params{}.time_budget);
+        EXPECT_EQ(p.fraction, scenario_params{}.fraction);
+        EXPECT_EQ(p.zipf_s, scenario_params{}.zipf_s);
+    }
+    scenario_params p;
+    std::string args[] = {"prog", "--time-budget", "-3"};
+    char* argv[] = {args[0].data(), args[1].data(), args[2].data()};
+    int i = 1;
+    try {
+        (void)scenario::parse_param_flag(p, 3, argv, i);
+        ADD_FAILURE() << "--time-budget -3 was accepted as " << p.time_budget;
+    } catch (const std::invalid_argument& error) {
+        EXPECT_STREQ(error.what(), "invalid --time-budget '-3' (expected a finite number >= 0)");
+    }
 }
 
 TEST(ScenarioWorkloads, UnknownNameThrows) {

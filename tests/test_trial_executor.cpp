@@ -12,14 +12,12 @@
 
 #include "core/config.h"
 #include "core/result.h"
-#include "sim/multi_trial.h"
 #include "sim/rng.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
 
-using plurality::sim::run_trials;
 using plurality::sim::trial_executor;
 using plurality::sim::trial_outcome;
 using plurality::sim::trial_summary;
@@ -140,11 +138,6 @@ TEST(TrialExecutor, ExecutorIsReusableAcrossRuns) {
     const auto first = executor.run(16, 3, synthetic_trial);
     const auto second = executor.run(16, 3, synthetic_trial);
     expect_identical(first, second);
-}
-
-TEST(MultiTrialWrapper, MatchesExecutorAtAnyThreadCount) {
-    const auto wrapped = run_trials(40, 0xfeed, synthetic_trial);
-    expect_identical(wrapped, trial_executor{8}.run(40, 0xfeed, synthetic_trial));
 }
 
 }  // namespace
