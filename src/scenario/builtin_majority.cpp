@@ -8,7 +8,7 @@
 // Predicates and metrics are member templates over the simulation type and
 // use the weighted-state helpers of sim/population_view.h, so every
 // scenario here runs on both the agent and the census backend.
-#include <algorithm>
+#include <stdexcept>
 
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
@@ -29,10 +29,14 @@ struct majority_split {
     std::uint32_t blank = 0;
 };
 
+/// Splits n into the +/− camps with a support gap of exactly `bias` (the
+/// odd remainder left blank); a gap wider than the population is rejected,
+/// not clamped, so the report never records a bias the run did not use.
 majority_split split_population(const scenario_params& p) {
+    if (p.bias > p.n) throw std::invalid_argument("majority: need bias <= n");
     majority_split s;
-    s.minus = (p.n - std::min(p.bias, p.n)) / 2;
-    s.plus = s.minus + std::min(p.bias, p.n);
+    s.minus = (p.n - p.bias) / 2;
+    s.plus = s.minus + p.bias;
     s.blank = p.n - s.plus - s.minus;
     return s;
 }

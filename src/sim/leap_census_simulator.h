@@ -23,16 +23,31 @@
 //      the participating states, not the occupied ones.
 //   3. The table: a uniform random bijection between the initiator and
 //      responder multisets, sampled row by row by sequential MVH
-//      conditioning.  δ applies once per nonzero cell: one δ call for a
-//      pair the protocol declares deterministic, one multinomial split for a
-//      pair with a declared outcome distribution (the randomized-δ group
-//      path, sim/group_delta.h), one δ call per interaction for any other
-//      pair — so every protocol runs, and runs exactly.
+//      conditioning.  δ applies once per nonzero cell, on census slot
+//      indices: one memoized δ result for a pair the protocol declares
+//      deterministic; for a pair with a declared outcome distribution (the
+//      randomized-δ group path, sim/group_delta.h), one lookup of its
+//      outcome slot pairs — enumerated once per simulation — and one
+//      multinomial split;
+//      one δ call per interaction for any other pair — so every protocol
+//      runs, and runs exactly.  Post-states land in per-slot post-run
+//      counts.
 //   4. If the run ended in a collision rather than at the caller's budget,
 //      the colliding interaction is executed from its exact conditional
 //      distribution: a uniform ordered pair of distinct agents conditioned
 //      on touching at least one run participant, whose state is its
 //      post-run state (the three-case decode of sim/group_delta.h).
+//
+// Census keys (Codec::encode plus a hash lookup) are computed only for the
+// results of δ calls: when a pair's outcome distribution is enumerated,
+// when a deterministic pair misses its memo, per fallback interaction, and
+// for a randomized colliding interaction's two post-states — so the
+// grouped and deterministic paths encode O(1) states per run rather than
+// O(cells).
+// A post-state gets its slot index when first met, but joins the census —
+// `reachable_states`, `visit_states`' discovery order — only when first
+// re-deposited with a nonzero count, exactly as if slots were created at
+// re-deposit time.
 //
 // Steps 1–4 repeat until the requested interaction count is reached; the
 // final run is truncated so `run_for` executes *exactly* the requested number
@@ -105,7 +120,9 @@ public:
         index_.reserve(initial.size());
         slots_.reserve(initial.size());
         for (const auto& entry : initial) {
-            if (entry.count > 0) deposit(entry.state, entry.count);
+            if (entry.count > 0) {
+                adjust(slot_of(entry.state), static_cast<std::int64_t>(entry.count));
+            }
         }
     }
 
@@ -136,7 +153,8 @@ public:
     /// the other backends.
     template <class Fn>
     void visit_states(Fn&& fn) const {
-        for (const auto& slot : slots_) {
+        for (const std::uint32_t i : discovered_) {
+            const auto& slot = slots_[i];
             if (slot.count > 0 && !fn(slot.state, slot.count)) return;
         }
     }
@@ -145,23 +163,12 @@ public:
     [[nodiscard]] std::size_t occupied_states() const noexcept { return occupied_; }
 
     /// Number of states seen at any point of the run.
-    [[nodiscard]] std::size_t reachable_states() const noexcept { return slots_.size(); }
+    [[nodiscard]] std::size_t reachable_states() const noexcept { return discovered_.size(); }
 
     /// Count of agents currently in the given state (0 if never reached).
     [[nodiscard]] std::uint64_t count_of(const agent_t& state) const {
         const auto it = index_.find(Codec::encode(state));
         return it == index_.end() ? 0 : slots_[it->second].count;
-    }
-
-    /// Approximate heap footprint of the census bookkeeping.
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return slots_.capacity() * sizeof(slot) +
-               (counts_.capacity() + participants_.capacity() + pinit_.capacity() +
-                presp_.capacity() + row_.capacity()) *
-                   sizeof(std::uint64_t) +
-               (occupied_list_.capacity() + pslots_.capacity()) * sizeof(std::uint32_t) +
-               used_.memory_bytes() + delta_table_.memory_bytes() +
-               index_.size() * (sizeof(key_t) + sizeof(std::uint32_t) + 2 * sizeof(void*));
     }
 
     [[nodiscard]] P& protocol_state() noexcept { return protocol_; }
@@ -186,7 +193,7 @@ public:
         out.add_counter(obs::m_table_hits, delta_table_.hits());
         out.add_counter(obs::m_table_misses, delta_table_.misses());
         out.add_gauge(obs::m_occupied_hwm, metrics_.occupied_hwm.value());
-        out.add_gauge(obs::m_reachable_states, slots_.size());
+        out.add_gauge(obs::m_reachable_states, discovered_.size());
         out.add_histogram(obs::m_run_length, metrics_.run_length);
         // Timers sample every obs::phase_sample_every-th run; scale the
         // accumulated seconds back up to estimate the full phase time.
@@ -200,9 +207,9 @@ public:
 private:
     struct slot {
         agent_t state;
-        key_t key{};
         std::uint64_t count = 0;
-        bool listed = false;  ///< currently present in occupied_list_
+        bool listed = false;      ///< currently present in occupied_list_
+        bool discovered = false;  ///< ever occupied: present in discovered_
     };
 
     struct instrument_set {
@@ -252,22 +259,19 @@ private:
         // The skipped draws can never matter: no later interaction can read
         // them into the census.
         if (occupied_list_.size() == 1) {
-            const auto& only = slots_[occupied_list_[0]];
+            const std::uint32_t only = occupied_list_[0];
             bool quiescent = false;
             if constexpr (declares_deterministic_delta<P>) {
-                if (protocol_.deterministic_delta(only.state, only.state)) {
-                    agent_t u = only.state;
-                    agent_t v = only.state;
-                    protocol_.interact(u, v, gen_);
-                    quiescent = Codec::encode(u) == only.key && Codec::encode(v) == only.key;
+                if (protocol_.deterministic_delta(slots_[only].state, slots_[only].state)) {
+                    const auto [u, v] = deterministic(only, only);
+                    quiescent = u == only && v == only;
                 }
             }
             if constexpr (declares_delta_outcomes<P>) {
                 if (!quiescent) {
-                    const auto& entry = delta_table_.lookup(protocol_, only.state, only.state);
-                    quiescent = entry.groupable && entry.outcomes.size() == 1 &&
-                                Codec::encode(entry.outcomes[0].initiator) == only.key &&
-                                Codec::encode(entry.outcomes[0].responder) == only.key;
+                    const auto outcomes = delta_table_.outcomes(lookup(only, only));
+                    quiescent = outcomes.size() == 1 && outcomes[0].initiator == only &&
+                                outcomes[0].responder == only;
                 }
             }
             if (quiescent) {
@@ -318,7 +322,7 @@ private:
         // bijection, sampled as sequentially-conditioned rows — one MVH of
         // initiator state j's row over the responders still unpaired; δ
         // applies once per nonzero cell.
-        used_.clear();
+        post_.clear();
         for (std::size_t j = 0; j < pslots_.size(); ++j) {
             if (pinit_[j] == 0) continue;
             row_.assign(pslots_.size(), 0);
@@ -326,7 +330,7 @@ private:
             for (std::size_t t = 0; t < pslots_.size(); ++t) {
                 if (row_[t] == 0) continue;
                 presp_[t] -= row_[t];
-                apply_group(slots_[pslots_[j]].state, slots_[pslots_[t]].state, row_[t]);
+                apply_group(pslots_[j], pslots_[t], row_[t]);
             }
         }
 
@@ -338,23 +342,12 @@ private:
             execute_collision(2 * pairs);
         }
 
-        // Re-deposit every participant's post-state.  Post-states are almost
-        // always already-listed slots, so try a short key-compare scan of the
-        // occupied list before paying the hash lookup.
-        for (const auto& g : used_.groups()) {
-            if (g.count == 0) continue;
-            if (occupied_list_.size() <= 16) {
-                bool found = false;
-                for (const std::uint32_t i : occupied_list_) {
-                    if (slots_[i].key == g.key) {
-                        adjust(i, static_cast<std::int64_t>(g.count));
-                        found = true;
-                        break;
-                    }
-                }
-                if (found) continue;
-            }
-            deposit(g.state, g.count);
+        // Re-deposit every participant's post-state, one count update per
+        // touched slot in first-touch order (which fixes the order fresh
+        // states join the census and the occupied list).
+        for (const std::uint32_t i : post_.touched()) {
+            const std::uint64_t count = post_.count(i);
+            if (count > 0) adjust(i, static_cast<std::int64_t>(count));
         }
 
         const std::uint64_t t4 = timed ? obs::now_ticks() : 0;
@@ -365,38 +358,42 @@ private:
         return executed;
     }
 
-    /// Applies δ to `count` interactions that all see the ordered state pair
-    /// (u, v): once for a declared-deterministic pair, via one multinomial
+    /// The outcome-table entry of the ordered slot pair (i, j), enumerated
+    /// on first sight.
+    const typename detail::delta_outcome_table<P>::entry& lookup(std::uint32_t i,
+                                                                 std::uint32_t j) {
+        return delta_table_.lookup(protocol_, i, j, slots_[i].state, slots_[j].state,
+                                   [this](const agent_t& state) { return slot_of(state); });
+    }
+
+    /// Applies δ to `count` interactions that all see the ordered slot pair
+    /// (i, j): once for a declared-deterministic pair, via one multinomial
     /// split for a pair with a declared outcome distribution, per
     /// interaction otherwise (the exact fallback for randomized δ).
-    void apply_group(const agent_t& u_state, const agent_t& v_state, std::uint64_t count) {
+    void apply_group(std::uint32_t i, std::uint32_t j, std::uint64_t count) {
         if constexpr (declares_deterministic_delta<P>) {
-            if (protocol_.deterministic_delta(u_state, v_state)) {
-                agent_t u = u_state;
-                agent_t v = v_state;
-                protocol_.interact(u, v, gen_);
-                used_add(u, count);
-                used_add(v, count);
+            if (protocol_.deterministic_delta(slots_[i].state, slots_[j].state)) {
+                const auto [u, v] = deterministic(i, j);
+                post_.add(u, count);
+                post_.add(v, count);
                 metrics_.delta_deterministic.add(count);
                 return;
             }
         }
         if constexpr (declares_delta_outcomes<P>) {
-            const auto& entry = delta_table_.lookup(protocol_, u_state, v_state);
-            if (entry.groupable) {
+            const auto& entry = lookup(i, j);
+            if (entry.size > 0) {
                 delta_table_.apply_group(
                     entry, gen_, count,
-                    [this](const agent_t& state, std::uint64_t c) { used_add(state, c); });
+                    [this](std::uint32_t s, std::uint64_t c) { post_.add(s, c); });
                 metrics_.delta_grouped.add(count);
                 return;
             }
         }
         for (std::uint64_t c = 0; c < count; ++c) {
-            agent_t u = u_state;
-            agent_t v = v_state;
-            protocol_.interact(u, v, gen_);
-            used_add(u, 1);
-            used_add(v, 1);
+            const auto [u, v] = delta(i, j);
+            post_.add(u, 1);
+            post_.add(v, 1);
         }
         metrics_.delta_fallback.add(count);
     }
@@ -404,50 +401,70 @@ private:
     /// Executes the interaction that ended the run (shared three-case
     /// decode, sim/group_delta.h): a uniform ordered pair of distinct agents
     /// conditioned on touching at least one of the `m2` run participants
-    /// (whose current states live in `used_`).
+    /// (whose post-run slots live in `post_`).
     void execute_collision(std::uint64_t m2) {
-        detail::execute_colliding_interaction<Codec>(
-            gen_, population_, m2, used_,
+        detail::execute_colliding_interaction(
+            gen_, population_, m2, post_,
             [this](std::uint64_t rank) { return census_take_at(rank); },
-            [this](agent_t& u, agent_t& v) { protocol_.interact(u, v, gen_); });
+            [this](std::uint32_t i, std::uint32_t j) {
+                if constexpr (declares_deterministic_delta<P>) {
+                    if (protocol_.deterministic_delta(slots_[i].state, slots_[j].state)) {
+                        return deterministic(i, j);
+                    }
+                }
+                return delta(i, j);
+            });
     }
 
-    void used_add(const agent_t& state, std::uint64_t count) {
-        used_.add(state, Codec::encode(state), count);
+    /// One δ call on the states of slots (i, j); returns the post-states'
+    /// slots.
+    std::pair<std::uint32_t, std::uint32_t> delta(std::uint32_t i, std::uint32_t j) {
+        agent_t u = slots_[i].state;
+        agent_t v = slots_[j].state;
+        protocol_.interact(u, v, gen_);
+        const std::uint32_t post_u = slot_of(u);
+        return {post_u, slot_of(v)};
     }
 
-    void used_remove(const agent_t& state) { used_.remove_one(Codec::encode(state)); }
+    /// `delta` for a declared-deterministic pair, memoized: such a pair
+    /// consumes no randomness, so skipping the repeat calls leaves the
+    /// stream unchanged.
+    std::pair<std::uint32_t, std::uint32_t> deterministic(std::uint32_t i, std::uint32_t j) {
+        return deterministic_.get(i, j, [this, i, j] { return delta(i, j); });
+    }
 
-    /// Withdraws and returns the state of the *fresh* (non-participant)
-    /// agent with zero-based rank `rank` over the current census counts.
-    [[nodiscard]] agent_t census_take_at(std::uint64_t rank) {
+
+    /// Withdraws the *fresh* (non-participant) agent with zero-based rank
+    /// `rank` over the current census counts and returns its slot.
+    [[nodiscard]] std::uint32_t census_take_at(std::uint64_t rank) {
         std::uint64_t remaining = rank;
         std::uint32_t last = occupied_list_.back();
         for (const std::uint32_t i : occupied_list_) {
             if (slots_[i].count == 0) continue;
             if (remaining < slots_[i].count) {
                 adjust(i, -1);
-                return slots_[i].state;
+                return i;
             }
             remaining -= slots_[i].count;
             last = i;
         }
         adjust(last, -1);
-        return slots_[last].state;  // unreachable for rank < census total
+        return last;  // unreachable for rank < census total
     }
 
-    /// Adds `count` agents in `state`, creating its slot on first sight.
-    void deposit(const agent_t& state, std::uint64_t count) {
-        const key_t key = Codec::encode(state);
+    /// The slot index of `state`, creating an (empty, undiscovered) slot on
+    /// first sight — the only place states are encoded after construction.
+    std::uint32_t slot_of(const agent_t& state) {
         const auto [it, inserted] =
-            index_.try_emplace(key, static_cast<std::uint32_t>(slots_.size()));
-        if (inserted) slots_.push_back({state, key, 0});
-        adjust(it->second, static_cast<std::int64_t>(count));
+            index_.try_emplace(Codec::encode(state), static_cast<std::uint32_t>(slots_.size()));
+        if (inserted) slots_.push_back({state});
+        return it->second;
     }
 
-    /// Applies a signed count delta to a slot, maintaining `occupied_` and
-    /// the occupied-slot list (append on occupancy; dormant slots leave the
-    /// list lazily at the next run snapshot).
+    /// Applies a signed count delta to a slot, maintaining `occupied_`, the
+    /// occupied-slot list (append on occupancy; dormant slots leave the
+    /// list lazily at the next run snapshot) and the discovery order (a
+    /// slot is discovered on its first occupancy).
     void adjust(std::size_t index, std::int64_t delta) {
         auto& entry = slots_[index];
         const bool was_occupied = entry.count > 0;
@@ -459,13 +476,18 @@ private:
                 entry.listed = true;
                 occupied_list_.push_back(static_cast<std::uint32_t>(index));
             }
+            if (!entry.discovered) {
+                entry.discovered = true;
+                discovered_.push_back(static_cast<std::uint32_t>(index));
+            }
         }
         if (entry.count == 0 && was_occupied) --occupied_;
     }
 
     P protocol_;
     rng gen_;
-    std::vector<slot> slots_;  ///< discovery-ordered; dormant slots keep their index
+    std::vector<slot> slots_;  ///< indexed by first sight; dormant slots keep their index
+    std::vector<std::uint32_t> discovered_;  ///< slots ever occupied, discovery order
     std::unordered_map<key_t, std::uint32_t, census_key_hash> index_;  ///< key -> slot
     std::size_t occupied_ = 0;      ///< slots with count > 0
     std::uint64_t population_ = 0;  ///< invariant: Σ slot counts (+ in-flight run)
@@ -480,8 +502,9 @@ private:
     std::vector<std::uint64_t> pinit_;          ///< initiator margin, compacted
     std::vector<std::uint64_t> presp_;          ///< participants, then unpaired responders
     std::vector<std::uint64_t> row_;            ///< one contingency-table row
-    detail::used_group_set<agent_t, key_t> used_;  ///< post-run states of participants
-    detail::delta_outcome_table<P, Codec> delta_table_;  ///< randomized-δ group path cache
+    detail::post_run_counts post_;             ///< participants' post-run slots
+    detail::deterministic_pair_memo deterministic_;  ///< deterministic pairs' results
+    detail::delta_outcome_table<P> delta_table_;  ///< resolved slot pairs
     instrument_set metrics_;
 };
 

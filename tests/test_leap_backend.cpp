@@ -12,17 +12,24 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/census_encoding.h"
+#include "core/plurality_protocol.h"
+#include "leader/leader_election.h"
 #include "majority/three_state.h"
+#include "obs/catalogue.h"
+#include "obs/snapshot.h"
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "sim/leap_census_simulator.h"
 #include "sim/trial_executor.h"
+#include "workload/opinion_distribution.h"
 
 namespace {
 
@@ -188,6 +195,106 @@ TEST(LeapCensusSimulator, ChunkedSteppingAgreesDistributionally) {
     const double var_b = sq_b / trials - mean_b * mean_b;
     const double band = 5.0 * std::sqrt((var_a + var_b) / trials) + 1.0;
     EXPECT_NEAR(mean_a, mean_b, band);
+}
+
+// -- golden trajectories ------------------------------------------------------
+//
+// Per-seed leap trajectories are a pure function of the seed, so a fixed
+// run_for at a fixed seed pins the whole chain *and* the way the backend
+// consumes its random stream.  Refactors of the run/table machinery must
+// keep these values bit-for-bit: the interaction and word counts pin the
+// draw sequence, the outcome-table hits and misses pin the lookup pattern,
+// reachable_states pins when census slots are created (only on a
+// re-deposit with a nonzero count), and the digest pins the census itself
+// in state-discovery order.
+
+/// What a golden case pins after its fixed run_for.
+struct golden_values {
+    std::uint64_t interactions = 0;
+    std::uint64_t rng_words = 0;
+    std::size_t reachable = 0;
+    std::uint64_t table_hits = 0;
+    std::uint64_t table_misses = 0;
+    std::uint64_t census_digest = 0;
+    bool operator==(const golden_values&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const golden_values& g) {
+    return os << "{" << g.interactions << ", " << g.rng_words << ", " << g.reachable << ", "
+              << g.table_hits << ", " << g.table_misses << ", 0x" << std::hex
+              << g.census_digest << std::dec << "}";
+}
+
+/// FNV-1a-style mix of one 64-bit word into the digest.
+void digest_word(std::uint64_t& digest, std::uint64_t word) {
+    digest = (digest ^ word) * 0x100000001b3ull;
+}
+
+void digest_key(std::uint64_t& digest, std::uint64_t key) { digest_word(digest, key); }
+
+template <std::size_t N>
+void digest_key(std::uint64_t& digest, const std::array<std::uint64_t, N>& key) {
+    for (const std::uint64_t word : key) digest_word(digest, word);
+}
+
+template <class P, class Codec>
+golden_values golden_run(sim::leap_census_simulator<P, Codec>& sim, std::uint64_t count) {
+    sim.run_for(count);
+    golden_values g;
+    g.interactions = sim.interactions();
+    g.rng_words = sim.random().words();
+    g.reachable = sim.reachable_states();
+    obs::snapshot metrics;
+    sim.collect_metrics(metrics);
+    g.table_hits = metrics.find(obs::m_table_hits)->value;
+    g.table_misses = metrics.find(obs::m_table_misses)->value;
+    g.census_digest = 0xcbf29ce484222325ull;
+    sim.visit_states([&](const typename P::agent_t& state, std::uint64_t c) {
+        digest_key(g.census_digest, Codec::encode(state));
+        digest_word(g.census_digest, c);
+        return true;
+    });
+    return g;
+}
+
+TEST(LeapCensusSimulator, GoldenTrajectoriesArePinned) {
+    {
+        three_leap sim{{}, three_state_census(520000, 480000, 0), 7};
+        EXPECT_EQ(golden_run(sim, 10'000'000),
+                  (golden_values{10'000'000, 161'075, 3, 0, 0, 0xacfbddf417bcb812}))
+            << "three-state, n = 10^6";
+    }
+    {
+        constexpr std::uint32_t n = 10'000;
+        sim::leap_census_simulator<leader::leader_election_protocol, leader::leader_census_codec>
+            sim{leader::leader_election_protocol{leader::default_psi(n), leader::default_rounds(n)},
+                std::vector<sim::census_entry<leader::leader_agent>>{{leader::leader_agent{}, n}},
+                7};
+        EXPECT_EQ(golden_run(sim, std::uint64_t{n} * 150),
+                  (golden_values{1'500'000, 1'227'728, 481, 431'355, 7'032, 0xb9d7ea64d4609817}))
+            << "leader election, n = 10^4";
+    }
+    {
+        constexpr std::uint32_t n = 1'000'000;
+        constexpr std::uint32_t k = 4;
+        const auto dist = workload::make_bias_one(n, k);
+        std::vector<sim::census_entry<core::core_agent>> entries;
+        for (std::uint32_t opinion = 1; opinion <= k; ++opinion) {
+            core::core_agent a;
+            a.opinion = opinion;
+            a.tokens = 1;
+            a.role = core::agent_role::collector;
+            a.stage = core::lifecycle_stage::init;
+            entries.push_back({a, dist.support_of(opinion)});
+        }
+        sim::leap_census_simulator<core::plurality_protocol, core::core_census_codec> sim{
+            core::plurality_protocol{
+                core::protocol_config::make(core::algorithm_mode::ordered, n, k)},
+            entries, 7};
+        EXPECT_EQ(golden_run(sim, std::uint64_t{n} * 4),
+                  (golden_values{4'000'000, 3'987'087, 95, 1'504'487, 4'342, 0xa41936b368b4f205}))
+            << "ordered plurality, n = 10^6, k = 4";
+    }
 }
 
 // -- scenario-layer integration ----------------------------------------------

@@ -189,55 +189,82 @@ static_assert(!sim::declares_delta_outcomes<majority::three_state_protocol>);
 
 // -- outcome table: memoized lookup + multinomial group application -----------
 
+/// Slot ids for toy states, assigned on first sight — the role the leap
+/// backend's census index plays for the outcome table.
+struct toy_slots {
+    std::vector<std::uint32_t> states;  ///< slot -> toy state x
+    std::uint32_t operator()(const toy_agent& a) {
+        for (std::uint32_t i = 0; i < states.size(); ++i) {
+            if (states[i] == a.x) return i;
+        }
+        states.push_back(a.x);
+        return static_cast<std::uint32_t>(states.size() - 1);
+    }
+};
+
 TEST(DeltaOutcomeTable, AppliesGroupsByMultinomialSplitWithinFiveSigma) {
-    sim::detail::delta_outcome_table<toy_protocol, toy_codec> table;
+    sim::detail::delta_outcome_table<toy_protocol> table;
     const toy_protocol proto;
-    const auto& entry = table.lookup(proto, toy_agent{0}, toy_agent{1});
-    ASSERT_TRUE(entry.groupable);
-    ASSERT_EQ(entry.outcomes.size(), 5u);
+    toy_slots slots;
+    const toy_agent u{0};
+    const toy_agent v{1};
+    const std::uint32_t i = slots(u);
+    const std::uint32_t j = slots(v);
+    const auto& entry = table.lookup(proto, i, j, u, v, slots);
+    ASSERT_EQ(entry.size, 5u);
+    EXPECT_EQ(table.misses(), 1u);
+    EXPECT_EQ(&table.lookup(proto, i, j, u, v, slots), &entry);  // memoized
+    EXPECT_EQ(table.hits(), 1u);
+    const auto outcomes = table.outcomes(entry);
+    const auto weights = table.weights(entry);
 
     // apply_group deposits add(initiator, c); add(responder, c) per outcome
     // in entry order (zero-count outcomes skipped), so the per-outcome
     // multinomial counts can be reconstructed exactly from the call pairs.
     constexpr std::uint64_t group = 200000;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> calls;  // (state, count)
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> calls;  // (slot, count)
     sim::rng gen(321);
-    table.apply_group(entry, gen, group, [&](const toy_agent& state, std::uint64_t c) {
-        calls.emplace_back(state.x, c);
-    });
+    table.apply_group(entry, gen, group,
+                      [&](std::uint32_t slot, std::uint64_t c) { calls.emplace_back(slot, c); });
     ASSERT_EQ(calls.size() % 2, 0u);
 
     std::map<toy_key_pair, std::uint64_t> split;
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < calls.size(); i += 2) {
         ASSERT_EQ(calls[i].second, calls[i + 1].second);
-        split[{calls[i].first, calls[i + 1].first}] += calls[i].second;
+        split[{slots.states[calls[i].first], slots.states[calls[i + 1].first]}] +=
+            calls[i].second;
         total += calls[i].second;
     }
     EXPECT_EQ(total, group);
 
-    for (std::size_t i = 0; i < entry.outcomes.size(); ++i) {
-        const double p = entry.weights[i];
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        const double p = weights[i];
         const double want = static_cast<double>(group) * p;
         const double sigma = std::sqrt(static_cast<double>(group) * p * (1.0 - p));
-        const toy_key_pair key{entry.outcomes[i].initiator.x, entry.outcomes[i].responder.x};
+        const toy_key_pair key{slots.states[outcomes[i].initiator],
+                               slots.states[outcomes[i].responder]};
         const auto it = split.find(key);
         const double got = it == split.end() ? 0.0 : static_cast<double>(it->second);
         EXPECT_NEAR(got, want, 5.0 * sigma + 1.0) << "outcome " << i;
     }
-    EXPECT_EQ(split.size(), entry.outcomes.size());  // all five outcomes drawn
+    EXPECT_EQ(split.size(), outcomes.size());  // all five outcomes drawn
 }
 
 TEST(DeltaOutcomeTable, SingleOutcomeGroupsConsumeNoRandomness) {
-    sim::detail::delta_outcome_table<forced_choice_protocol, toy_codec> table;
-    const auto& entry = table.lookup({}, toy_agent{0}, toy_agent{5});
-    ASSERT_TRUE(entry.groupable);
-    ASSERT_EQ(entry.outcomes.size(), 1u);
+    sim::detail::delta_outcome_table<forced_choice_protocol> table;
+    toy_slots slots;
+    const toy_agent u{0};
+    const toy_agent v{5};
+    const std::uint32_t i = slots(u);
+    const std::uint32_t j = slots(v);
+    const auto& entry = table.lookup({}, i, j, u, v, slots);
+    ASSERT_EQ(entry.size, 1u);
     sim::rng gen(9);
     const std::uint64_t before = gen.next();
     sim::rng replay(9);
     std::uint64_t deposited = 0;
-    table.apply_group(entry, replay, 1000, [&](const toy_agent&, std::uint64_t c) {
+    table.apply_group(entry, replay, 1000, [&](std::uint32_t, std::uint64_t c) {
         deposited += c;
     });
     EXPECT_EQ(deposited, 2000u);

@@ -244,6 +244,28 @@ TEST(ScenarioFlags, RealFlagsAreWholeTextFiniteAndInRange) {
     }
 }
 
+TEST(ScenarioWorkloads, MajorityBiasAboveNThrows) {
+    // A majority gap wider than the population is rejected on every
+    // backend, never clamped to n (which would report "bias": 200 for a run
+    // that used 100, and succeed at time 0).
+    scenario_params p;
+    p.n = 100;
+    p.bias = 200;
+    for (const auto& s : scenario::scenario_registry::instance().all()) {
+        if (s.family() != "majority") continue;
+        for (const auto backend : {scenario::backend_kind::agent, scenario::backend_kind::census,
+                                   scenario::backend_kind::leap}) {
+            EXPECT_THROW((void)s.run(p, 1, backend), std::invalid_argument) << s.name();
+        }
+    }
+    p.bias = 100;  // the boundary stays valid: everyone starts in agreement
+    for (const auto& s : scenario::scenario_registry::instance().all()) {
+        if (s.family() == "majority") {
+            EXPECT_NO_THROW((void)s.run(p, 1)) << s.name();
+        }
+    }
+}
+
 TEST(ScenarioWorkloads, UnknownNameThrows) {
     scenario_params p;
     p.workload = "banana";
